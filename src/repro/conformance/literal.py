@@ -1,7 +1,7 @@
 """Literal reference implementations of the paper's timestamp definitions.
 
 The hot path dispatches every comparison through the integer kernels in
-:mod:`repro.time.kernels` — memoized ``relation_code``, the O(n)
+:mod:`repro.time.kernels` — the integer ``relation_code``, the O(n)
 ``fast_max_set``, the ``StampSummary`` extrema digest.  The functions
 here re-state Definitions 4.7–5.4 *verbatim* (quantifier sweeps, O(n²)
 filters), with no shared code: they are the fixed point the differential

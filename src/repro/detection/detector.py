@@ -27,7 +27,6 @@ import heapq
 import itertools
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.contexts.policies import Context
@@ -47,12 +46,25 @@ from repro.detection.nodes import (
 from repro.time.timestamps import PrimitiveTimestamp
 
 
-@dataclass(frozen=True, slots=True)
 class Detection:
     """A detected composite event: the registered name plus the occurrence."""
 
-    name: str
-    occurrence: EventOccurrence
+    __slots__ = ("name", "occurrence")
+
+    def __init__(self, name: str, occurrence: EventOccurrence) -> None:
+        self.name = name
+        self.occurrence = occurrence
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Detection):
+            return NotImplemented
+        return self.name == other.name and self.occurrence == other.occurrence
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.occurrence))
+
+    def __repr__(self) -> str:
+        return f"Detection(name={self.name!r}, occurrence={self.occurrence!r})"
 
 
 class Detector:
@@ -234,65 +246,61 @@ class Detector:
         return self.feed(event_type, stamp, parameters=parameters)
 
     def _propagate(self, source: Node, occurrence: EventOccurrence) -> list[Detection]:
-        """Push an occurrence from ``source`` through the graph (BFS)."""
-        if self.obs.enabled:
-            return self._propagate_instrumented(source, occurrence)
+        """Push an occurrence from ``source`` through the graph (BFS).
+
+        The worklist holds one entry per ``receive`` result, not per
+        emission: a batch's emissions were adjacent in the per-emission
+        queue anyway, so a root's detections are recorded in the same
+        order with one ``extend`` instead of a round trip each.  With
+        instrumentation on, every ``receive`` runs inside a
+        ``node.receive`` span.
+        """
+        obs = self.obs
+        traced = obs.enabled
         results: list[Detection] = []
         roots = self.graph.roots
-        callbacks = self._callbacks
-        detections = self.detections
         subscribers = self.graph.subscribers
-        worklist: deque[tuple[Node, EventOccurrence]] = deque(((source, occurrence),))
+        worklist: deque[tuple[Node, list[EventOccurrence]]] = deque(
+            ((source, [occurrence]),)
+        )
         while worklist:
-            node, emission = worklist.popleft()
+            node, emissions = worklist.popleft()
             if roots.get(node.name) is node:
-                detection = Detection(name=node.name, occurrence=emission)
-                detections.append(detection)
-                results.append(detection)
-                for callback in callbacks.get(node.name, ()):
-                    callback(detection)
-            for edge in subscribers(node):
-                produced = edge.parent.receive(emission, edge.role)
-                if produced:
+                results += self._record_root(node.name, emissions)
+            edges = subscribers(node)
+            if not edges:
+                continue
+            for emission in emissions:
+                for edge in edges:
                     parent = edge.parent
-                    for p in produced:
-                        worklist.append((parent, p))
+                    if traced:
+                        with obs.span(
+                            "node.receive",
+                            site=self.site,
+                            op=parent.kind,
+                            node=parent.name,
+                            role=edge.role,
+                        ) as span:
+                            produced = parent.receive(emission, edge.role)
+                            span.set(emitted=len(produced))
+                    else:
+                        produced = parent.receive(emission, edge.role)
+                    if produced:
+                        worklist.append((parent, produced))
         return results
 
-    def _propagate_instrumented(
-        self, source: Node, occurrence: EventOccurrence
+    def _record_root(
+        self, name: str, emissions: list[EventOccurrence]
     ) -> list[Detection]:
-        """The :meth:`_propagate` loop with a ``node.receive`` span per edge."""
-        obs = self.obs
-        results: list[Detection] = []
-        worklist: deque[tuple[Node, EventOccurrence]] = deque(((source, occurrence),))
-        while worklist:
-            node, emission = worklist.popleft()
-            results.extend(self._record_if_root(node, emission))
-            for edge in self.graph.subscribers(node):
-                with obs.span(
-                    "node.receive",
-                    site=self.site,
-                    op=edge.parent.kind,
-                    node=edge.parent.name,
-                    role=edge.role,
-                ) as span:
-                    produced = edge.parent.receive(emission, edge.role)
-                    span.set(emitted=len(produced))
-                worklist.extend((edge.parent, p) for p in produced)
-        return results
-
-    def _record_if_root(
-        self, node: Node, occurrence: EventOccurrence
-    ) -> list[Detection]:
-        registered = self.graph.roots.get(node.name)
-        if registered is not node:
-            return []
-        detection = Detection(name=node.name, occurrence=occurrence)
-        self.detections.append(detection)
-        for callback in self._callbacks.get(node.name, []):
-            callback(detection)
-        return [detection]
+        """Record one batch of a registered root's emissions, in order."""
+        batch = [Detection(name, emission) for emission in emissions]
+        self.detections += batch
+        callbacks = self._callbacks.get(name)
+        if callbacks:
+            for detection in batch:
+                for callback in callbacks:
+                    callback(detection)
+        return batch
 
     # --- cloning ----------------------------------------------------------
 
@@ -342,12 +350,4 @@ class Detector:
 
     def buffered_occurrences(self) -> int:
         """Total occurrences currently buffered across operator nodes."""
-        total = 0
-        for node in self.graph.nodes():
-            for attribute in ("_firsts", "_seconds", "_openers", "_bodies",
-                              "_negated", "_closers"):
-                total += len(getattr(node, attribute, ()))
-            buffers = getattr(node, "_buffers", None)
-            if buffers is not None:
-                total += sum(len(b) for b in buffers.values())
-        return total
+        return sum(node.buffered() for node in self.graph.nodes())

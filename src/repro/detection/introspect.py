@@ -68,17 +68,7 @@ class GraphReport:
 
 def node_buffered(node: Node) -> int:
     """Occurrences currently buffered in one node."""
-    total = 0
-    for attribute in ("_firsts", "_seconds", "_openers", "_bodies",
-                      "_negated", "_closers", "_pending"):
-        total += len(getattr(node, attribute, ()))
-    buffers = getattr(node, "_buffers", None)
-    if buffers is not None:
-        total += sum(len(b) for b in buffers.values())
-    windows = getattr(node, "_windows", None)
-    if windows is not None:
-        total += sum(1 + len(w.ticks) for w in windows if not w.closed)
-    return total
+    return node.buffered()
 
 
 def inspect_graph(graph: EventGraph, pending_timers: int = 0) -> GraphReport:

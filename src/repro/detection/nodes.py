@@ -25,7 +25,6 @@ from typing import Any, Callable, Iterable, Protocol, Sequence
 from repro.contexts.policies import Context, select_initiators
 from repro.errors import DetectionError
 from repro.events.occurrences import EventOccurrence
-from repro.events.semantics import merge_parameters
 from repro.time.composite import (
     CompositeTimestamp,
     composite_happens_before,
@@ -99,41 +98,69 @@ class Node:
         """
         return 0
 
+    def buffered(self) -> int:
+        """Occurrences this node currently holds (0 for stateless nodes)."""
+        return 0
+
     def _emit(
         self,
         constituents: tuple[EventOccurrence, ...],
         parameters: dict | None = None,
         timestamp: CompositeTimestamp | None = None,
     ) -> EventOccurrence:
-        """Build a detection: ``Max`` over constituents, merged parameters.
+        """Build one detection: ``Max`` over constituents, merged parameters.
 
-        Nodes that maintain their accumulator's max-set incrementally
-        (e.g. :class:`TimesNode`) pass the precomputed ``timestamp`` —
-        by Theorem 5.4 the incremental fold equals the one-shot
-        ``max_of_many`` computed here otherwise.
+        The n-ary emitter (cumulative operators, consuming contexts,
+        pass-through nodes); binary UNRESTRICTED pairing goes through
+        :meth:`_emit_pairs`.  Nodes that maintain their accumulator's
+        max-set incrementally (e.g. :class:`TimesNode`) pass the
+        precomputed ``timestamp`` — by Theorem 5.4 the incremental fold
+        equals the one-shot ``max_of_many`` computed here otherwise.
+        Without operator ``parameters`` the occurrence merges its
+        constituents' on first read.
         """
         self.emitted_count += 1
-        merged: dict = {}
-        for constituent in constituents:
-            if constituent.parameters:
-                merged.update(constituent.parameters)
+        merged = None
         if parameters:
+            merged = {}
+            for constituent in constituents:
+                merged.update(constituent.parameters)
             merged.update(parameters)
         if timestamp is None:
-            if len(constituents) == 1:
-                timestamp = constituents[0].timestamp
-            elif len(constituents) == 2:
-                timestamp = max_of(
-                    constituents[0].timestamp, constituents[1].timestamp
-                )
+            timestamp = max_of_many([c.timestamp for c in constituents])
+        return EventOccurrence(self.name, timestamp, merged, constituents)
+
+    def _emit_pairs(
+        self,
+        partners: list[EventOccurrence],
+        occurrence: EventOccurrence,
+        partner_first: bool = True,
+        ordered: bool = True,
+    ) -> list[EventOccurrence]:
+        """One detection per partner of ``occurrence``, in ``partners`` order.
+
+        ``partner_first`` puts the partner before ``occurrence`` in the
+        constituents; ``ordered`` says the first constituent is already
+        known to happen before the second.  For two singleton stamps
+        that makes ``Max`` the second stamp itself (``{a} <_p {b}`` iff
+        ``a < b``, so ``max({a, b}) = {b}``) and the fold is skipped;
+        composite stamps always fold, because ``<_p`` does not imply
+        domination (Theorem 5.4 holds under ``<_g`` only).
+        """
+        self.emitted_count += len(partners)
+        name = self.name
+        stamp = occurrence.timestamp
+        skip_fold = ordered and len(stamp._stamps) == 1
+        detections = []
+        for partner in partners:
+            pair = (partner, occurrence) if partner_first else (occurrence, partner)
+            held = partner.timestamp
+            if skip_fold and len(held._stamps) == 1:
+                later = stamp if partner_first else held
             else:
-                timestamp = max_of_many([c.timestamp for c in constituents])
-        return EventOccurrence(
-            event_type=self.name,
-            timestamp=timestamp,
-            parameters=merged,
-            constituents=constituents,
-        )
+                later = max_of(pair[0].timestamp, pair[1].timestamp)
+            detections.append(EventOccurrence(name, later, None, pair))
+        return detections
 
 
 class PrimitiveNode(Node):
@@ -214,14 +241,22 @@ class AndNode(Node):
         if role not in self._buffers:
             raise DetectionError(f"AndNode {self.name!r} got unknown role {role!r}")
         opposite = ROLE_RIGHT if role == ROLE_LEFT else ROLE_LEFT
-        # select_initiators reads the buffer without mutating it, and
-        # _prune runs only after the groups are materialised as tuples.
-        selection = select_initiators(self.context, self._buffers[opposite])
-        detections = []
-        for group in selection.groups:
-            ordered = (*group, occurrence) if opposite == ROLE_LEFT else (occurrence, *group)
-            detections.append(self._emit(ordered))
-        _prune(self._buffers[opposite], selection.consumed + selection.discarded)
+        if self.context is Context.UNRESTRICTED:
+            detections = self._emit_pairs(
+                self._buffers[opposite],
+                occurrence,
+                partner_first=opposite == ROLE_LEFT,
+                ordered=False,
+            )
+        else:
+            # select_initiators reads the buffer without mutating it, and
+            # _prune runs only after the groups are materialised as tuples.
+            selection = select_initiators(self.context, self._buffers[opposite])
+            detections = []
+            for group in selection.groups:
+                ordered = (*group, occurrence) if opposite == ROLE_LEFT else (occurrence, *group)
+                detections.append(self._emit(ordered))
+            _prune(self._buffers[opposite], selection.consumed + selection.discarded)
         self._buffers[role].append(occurrence)
         return detections
 
@@ -229,6 +264,9 @@ class AndNode(Node):
         return _prune_list(self._buffers[ROLE_LEFT], global_time) + _prune_list(
             self._buffers[ROLE_RIGHT], global_time
         )
+
+    def buffered(self) -> int:
+        return len(self._buffers[ROLE_LEFT]) + len(self._buffers[ROLE_RIGHT])
 
 
 class SequenceNode(Node):
@@ -253,25 +291,22 @@ class SequenceNode(Node):
         if role == ROLE_FIRST:
             self._firsts.append(occurrence)
             if self.context is Context.UNRESTRICTED:
-                return [
-                    self._emit((occurrence, second))
-                    for second in self._seconds
-                    if composite_happens_before(occurrence.timestamp, second.timestamp)
-                ]
+                return self._emit_pairs(
+                    _after(self._seconds, occurrence.timestamp),
+                    occurrence,
+                    partner_first=False,
+                )
             return []
         if role == ROLE_SECOND:
-            eligible = [
-                first
-                for first in self._firsts
-                if composite_happens_before(first.timestamp, occurrence.timestamp)
-            ]
+            eligible = _before(self._firsts, occurrence.timestamp)
+            if self.context is Context.UNRESTRICTED:
+                self._seconds.append(occurrence)
+                return self._emit_pairs(eligible, occurrence)
             selection = select_initiators(self.context, eligible)
             detections = [
                 self._emit((*group, occurrence)) for group in selection.groups
             ]
             _prune(self._firsts, selection.consumed + selection.discarded)
-            if self.context is Context.UNRESTRICTED:
-                self._seconds.append(occurrence)
             return detections
         raise DetectionError(f"SequenceNode {self.name!r} got unknown role {role!r}")
 
@@ -279,6 +314,9 @@ class SequenceNode(Node):
         return _prune_list(self._firsts, global_time) + _prune_list(
             self._seconds, global_time
         )
+
+    def buffered(self) -> int:
+        return len(self._firsts) + len(self._seconds)
 
 
 class NotNode(Node):
@@ -312,17 +350,17 @@ class NotNode(Node):
         if role == ROLE_CLOSER:
             eligible = [
                 opener
-                for opener in self._openers
-                if composite_happens_before(opener.timestamp, occurrence.timestamp)
-                and not self._blocked(opener, occurrence)
+                for opener in _before(self._openers, occurrence.timestamp)
+                if not self._blocked(opener, occurrence)
             ]
+            if self.context is Context.UNRESTRICTED:
+                self._closers.append(occurrence)
+                return self._emit_pairs(eligible, occurrence)
             selection = select_initiators(self.context, eligible)
             detections = [
                 self._emit((*group, occurrence)) for group in selection.groups
             ]
             _prune(self._openers, selection.consumed + selection.discarded)
-            if self.context is Context.UNRESTRICTED:
-                self._closers.append(occurrence)
             return detections
         raise DetectionError(f"NotNode {self.name!r} got unknown role {role!r}")
 
@@ -333,14 +371,17 @@ class NotNode(Node):
             + _prune_list(self._closers, global_time)
         )
 
+    def buffered(self) -> int:
+        return len(self._openers) + len(self._negated) + len(self._closers)
+
     def _pair_late_opener(self, opener: EventOccurrence) -> list[EventOccurrence]:
         """Out-of-order support: an opener arriving after its closer."""
-        return [
-            self._emit((opener, closer))
-            for closer in self._closers
-            if composite_happens_before(opener.timestamp, closer.timestamp)
-            and not self._blocked(opener, closer)
+        closers = [
+            closer
+            for closer in _after(self._closers, opener.timestamp)
+            if not self._blocked(opener, closer)
         ]
+        return self._emit_pairs(closers, opener, partner_first=False)
 
     def _blocked(self, opener: EventOccurrence, closer: EventOccurrence) -> bool:
         return any(
@@ -376,20 +417,16 @@ class AperiodicNode(Node):
         if role == ROLE_CLOSER:
             self._closers.append(occurrence)
             if self.context is not Context.UNRESTRICTED:
-                closed = [
-                    opener
-                    for opener in self._openers
-                    if composite_happens_before(opener.timestamp, occurrence.timestamp)
-                ]
-                _prune(self._openers, tuple(closed))
+                _prune(self._openers, _before(self._openers, occurrence.timestamp))
             return []
         if role == ROLE_BODY:
             eligible = [
                 opener
-                for opener in self._openers
-                if composite_happens_before(opener.timestamp, occurrence.timestamp)
-                and not self._window_closed(opener, occurrence)
+                for opener in _before(self._openers, occurrence.timestamp)
+                if not self._window_closed(opener, occurrence)
             ]
+            if self.context is Context.UNRESTRICTED:
+                return self._emit_pairs(eligible, occurrence)
             selection = select_initiators(self.context, eligible)
             return [self._emit((*group, occurrence)) for group in selection.groups]
         raise DetectionError(f"AperiodicNode {self.name!r} got unknown role {role!r}")
@@ -398,6 +435,9 @@ class AperiodicNode(Node):
         return _prune_list(self._openers, global_time) + _prune_list(
             self._closers, global_time
         )
+
+    def buffered(self) -> int:
+        return len(self._openers) + len(self._closers)
 
     def _window_closed(
         self, opener: EventOccurrence, body: EventOccurrence
@@ -434,12 +474,9 @@ class AperiodicStarNode(Node):
             self._bodies.append(occurrence)
             return []
         if role == ROLE_CLOSER:
-            eligible = [
-                opener
-                for opener in self._openers
-                if composite_happens_before(opener.timestamp, occurrence.timestamp)
-            ]
-            selection = select_initiators(self.context, eligible)
+            selection = select_initiators(
+                self.context, _before(self._openers, occurrence.timestamp)
+            )
             detections = []
             for group in selection.groups:
                 for opener in group:
@@ -472,6 +509,9 @@ class AperiodicStarNode(Node):
         return _prune_list(self._openers, global_time) + _prune_list(
             self._bodies, global_time
         )
+
+    def buffered(self) -> int:
+        return len(self._openers) + len(self._bodies)
 
 
 class TimesNode(Node):
@@ -525,6 +565,9 @@ class TimesNode(Node):
                 else None
             )
         return dropped
+
+    def buffered(self) -> int:
+        return len(self._pending)
 
 
 class _Window:
@@ -635,6 +678,10 @@ class PeriodicNode(Node):
             return []
         return [self._emit((window.opener, tick))]
 
+    def buffered(self) -> int:
+        """Each open window's opener plus the ticks it has accumulated."""
+        return sum(1 + len(w.ticks) for w in self._windows if not w.closed)
+
 
 class PlusNode(Node):
     """Temporal offset ``E1 + offset`` granules."""
@@ -678,6 +725,56 @@ class PlusNode(Node):
             parameters={"tick_global": tick_stamp.global_time},
         )
         return [self._emit((base, tick))]
+
+
+def _before(
+    buffer: list[EventOccurrence], stamp: CompositeTimestamp
+) -> list[EventOccurrence]:
+    """Partner selection: the buffered ``o`` with ``T(o) <_p stamp``, in order.
+
+    Definition 5.3.2 with the loop invariants hoisted: against a
+    singleton ``stamp = {b}`` a singleton ``{a}`` is decided by Definition
+    4.7 on the integer fields alone, and a composite ``T(o)`` by one
+    ``exists_lt`` on its extrema digest.
+    """
+    if len(stamp._stamps) != 1:
+        return [o for o in buffer if composite_happens_before(o.timestamp, stamp)]
+    (b,) = stamp._stamps
+    sid = b._sid
+    local = b.local
+    bound = b.global_time - 1
+    picked = []
+    for o in buffer:
+        held = o.timestamp
+        if len(held._stamps) == 1:
+            (a,) = held._stamps
+            if a.local < local if a._sid == sid else a.global_time < bound:
+                picked.append(o)
+        elif held.summary.exists_lt(b):
+            picked.append(o)
+    return picked
+
+
+def _after(
+    buffer: list[EventOccurrence], stamp: CompositeTimestamp
+) -> list[EventOccurrence]:
+    """Partner selection: the buffered ``o`` with ``stamp <_p T(o)``, in order."""
+    if len(stamp._stamps) != 1:
+        return [o for o in buffer if composite_happens_before(stamp, o.timestamp)]
+    (a,) = stamp._stamps
+    sid = a._sid
+    local = a.local
+    bound = a.global_time + 1
+    picked = []
+    for o in buffer:
+        held = o.timestamp
+        if len(held._stamps) == 1:
+            (b,) = held._stamps
+            if local < b.local if b._sid == sid else bound < b.global_time:
+                picked.append(o)
+        elif composite_happens_before(stamp, held):
+            picked.append(o)
+    return picked
 
 
 def _prune_list(buffer: list[EventOccurrence], global_time: int) -> int:

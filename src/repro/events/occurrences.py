@@ -21,7 +21,6 @@ operational detectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.errors import SimultaneityViolationError, UnknownEventTypeError
@@ -29,22 +28,35 @@ from repro.events.types import EventClass, TypeRegistry
 from repro.time.composite import CompositeTimestamp
 from repro.time.timestamps import PrimitiveTimestamp
 
-_occurrence_counter = itertools.count(1)
+_next_uid = itertools.count(1).__next__
 
 
-@dataclass(frozen=True, slots=True)
 class EventOccurrence:
     """One occurrence of a (primitive or composite) event.
 
-    Instances are immutable; ``uid`` is a process-unique sequence number
-    used for stable ordering and deduplication in detector state.
+    Instances are treated as immutable; ``uid`` is a process-unique
+    sequence number used for stable ordering and deduplication in
+    detector state.  ``parameters=None`` means "whatever the
+    constituents carry": the merge (later constituent wins ties) is
+    built on first read, so a detection nobody inspects never pays for
+    the dictionary.
     """
 
-    event_type: str
-    timestamp: CompositeTimestamp
-    parameters: Mapping[str, Any] = field(default_factory=dict)
-    constituents: tuple["EventOccurrence", ...] = ()
-    uid: int = field(default_factory=lambda: next(_occurrence_counter))
+    __slots__ = ("event_type", "timestamp", "_parameters", "constituents", "uid")
+
+    def __init__(
+        self,
+        event_type: str,
+        timestamp: CompositeTimestamp,
+        parameters: Mapping[str, Any] | None = None,
+        constituents: tuple["EventOccurrence", ...] = (),
+        uid: int | None = None,
+    ) -> None:
+        self.event_type = event_type
+        self.timestamp = timestamp
+        self._parameters = parameters
+        self.constituents = constituents
+        self.uid = _next_uid() if uid is None else uid
 
     @classmethod
     def primitive(
@@ -55,10 +67,21 @@ class EventOccurrence:
     ) -> "EventOccurrence":
         """Build a primitive occurrence from a single primitive stamp."""
         return cls(
-            event_type=event_type,
-            timestamp=CompositeTimestamp.singleton(stamp),
-            parameters=dict(parameters or {}),
+            event_type,
+            CompositeTimestamp.singleton(stamp),
+            dict(parameters or {}),
         )
+
+    @property
+    def parameters(self) -> Mapping[str, Any]:
+        """The event parameters; a composite's default is its constituents' merge."""
+        merged = self._parameters
+        if merged is None:
+            merged = {}
+            for constituent in self.constituents:
+                merged.update(constituent.parameters)
+            self._parameters = merged
+        return merged
 
     @property
     def is_primitive(self) -> bool:

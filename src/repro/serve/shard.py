@@ -261,8 +261,8 @@ class DetectionShard:
             self.obs.counter("serve.events", shard=self.index).inc(len(batch))
 
     def _record(self, detections: list[Detection]) -> None:
-        for detection in detections:
-            self.detections.append((self.index, detection))
+        index = self.index
+        self.detections += [(index, detection) for detection in detections]
         if detections and self.obs.enabled:
             self.obs.counter("serve.detections", shard=self.index).inc(
                 len(detections)

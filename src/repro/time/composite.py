@@ -40,7 +40,7 @@ import enum
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import ConcurrencyViolationError, EmptyTimestampError
-from repro.time.kernels import StampSummary, fast_max_set, relation_code
+from repro.time.kernels import StampSummary, fast_max_set
 from repro.time.timestamps import PrimitiveTimestamp, happens_before
 
 
@@ -368,13 +368,17 @@ def max_of(t1: CompositeTimestamp, t2: CompositeTimestamp) -> CompositeTimestamp
         return t1
     if len(s1) == 1 and len(s2) == 1:
         # The dominant shape on the detection hot path: two singletons
-        # reduce to one memoized primitive comparison.
+        # reduce to Definition 4.7 on the integer fields.
         (a,) = s1
         (b,) = s2
-        code = relation_code(a, b)
-        if code < 0:
+        if a._sid == b._sid:
+            if a.local < b.local:
+                return t2
+            if b.local < a.local:
+                return t1
+        elif a.global_time < b.global_time - 1:
             return t2
-        if code > 0:
+        elif b.global_time < a.global_time - 1:
             return t1
         return CompositeTimestamp._trusted(s1 | s2)
     union = s1 | s2

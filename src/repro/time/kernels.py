@@ -23,8 +23,8 @@ Three exports matter:
 * :func:`site_id` / :func:`pack_key` — interned site ids and the
   precomputed integer granule key carried by every
   :class:`~repro.time.timestamps.PrimitiveTimestamp`;
-* :func:`relation_code` — the memoized pairwise ``<`` / ``~`` relation
-  (``-1`` before, ``0`` concurrent, ``1`` after), keyed on granule keys;
+* :func:`relation_code` — the pairwise ``<`` / ``~`` relation (``-1``
+  before, ``0`` concurrent, ``1`` after) on the interned integer fields;
 * :func:`fast_max_set` and :class:`StampSummary` — the O(n) Definition
   5.1 maxima and the per-composite extrema digest behind the O(|T2|)
   Definition 5.3 relations.
@@ -118,52 +118,23 @@ def batch_stamps(
     return out
 
 
-# --- memoized pairwise relation ---------------------------------------------
-
-# relation_code results keyed on the packed key pair.  Bounded: the cache
-# is cleared wholesale when full (simple, and the steady state of a
-# detection run re-warms within one event batch).
-_rel_cache: dict[object, int] = {}
-_REL_CACHE_LIMIT = 1 << 18
+# --- pairwise relation -------------------------------------------------------
 
 
 def relation_code(a: "PrimitiveTimestamp", b: "PrimitiveTimestamp") -> int:
     """The pairwise relation as an int: ``-1`` a<b, ``1`` b<a, ``0`` ``~``.
 
     Definition 4.7 on the precomputed fields: same site compares local
-    ticks, different sites need the two-granule global gap.  Memoized on
-    the packed granule keys.
+    ticks, different sites need the two-granule global gap.  Two integer
+    compares — cheaper than any key a memo of them could be looked up by.
     """
-    ka = a._key
-    kb = b._key
-    if type(ka) is int and type(kb) is int:
-        cache_key: object = (ka << 192) | kb
-    else:
-        cache_key = (ka, kb)
-    code = _rel_cache.get(cache_key)
-    if code is None:
-        if a._sid == b._sid:
-            if a.local < b.local:
-                code = -1
-            elif b.local < a.local:
-                code = 1
-            else:
-                code = 0
-        elif a.global_time < b.global_time - 1:
-            code = -1
-        elif b.global_time < a.global_time - 1:
-            code = 1
-        else:
-            code = 0
-        if len(_rel_cache) >= _REL_CACHE_LIMIT:
-            _rel_cache.clear()
-        _rel_cache[cache_key] = code
-    return code
-
-
-def clear_caches() -> None:
-    """Drop the memoized relations (the site-id table is kept)."""
-    _rel_cache.clear()
+    if a._sid == b._sid:
+        if a.local < b.local:
+            return -1
+        return 1 if b.local < a.local else 0
+    if a.global_time < b.global_time - 1:
+        return -1
+    return 1 if b.global_time < a.global_time - 1 else 0
 
 
 # --- O(n) max-set ------------------------------------------------------------

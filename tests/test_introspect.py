@@ -65,3 +65,19 @@ class TestNodeBuffered:
         detector.feed("o", ts("s1", 1, 10))
         detector.advance_time(6)  # ticks at 3 and 5
         assert node_buffered(root) == 3  # opener + two ticks
+
+    def test_detector_and_report_count_the_same_state(self):
+        # Detector.buffered_occurrences() used to skip TimesNode._pending
+        # and PeriodicNode._windows, so these two rules read 0 there.
+        detector = Detector()
+        times = detector.register("times(3, a)", name="thrice")
+        periodic = detector.register("P(a, 2, b)", name="pulse")
+        detector.feed("a", ts("s1", 1, 10))
+        detector.feed("a", ts("s1", 2, 20))
+        detector.advance_time(5)  # each window ticks at its opener + 2, + 4, …
+        assert node_buffered(times) == times.buffered() == 2
+        assert node_buffered(periodic) == 2 + 3  # two openers, ticks at 3, 4, 5
+        assert detector.buffered_occurrences() == 2 + 5
+        assert inspect_detector(detector).total_buffered == 2 + 5
+        detector.feed("a", ts("s1", 6, 60))  # third arrival empties the batch
+        assert times.buffered() == 0

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.detection.checkpoint import occurrence_to_dict, restore, snapshot
+from repro.detection.detector import Detection, Detector
 from repro.errors import SimultaneityViolationError
 from repro.events.occurrences import EventOccurrence, History
 from repro.events.types import EventClass, TypeRegistry
@@ -49,6 +51,80 @@ class TestEventOccurrence:
             event_type="o", timestamp=b.timestamp, constituents=(inner, b)
         )
         assert outer.primitive_leaves() == (a, b)
+
+
+class TestPlainClassContract:
+    """``EventOccurrence``/``Detection`` left ``@dataclass(frozen=True)``
+    for a plain slotted ``__init__``; what callers relied on stays."""
+
+    def test_positional_and_keyword_construction_agree(self):
+        a = EventOccurrence.primitive("x", ts("a", 5, 50), {"k": 1})
+        stamp = a.timestamp
+        by_position = EventOccurrence("c", stamp, {"p": 2}, (a,), 7)
+        by_keyword = EventOccurrence(
+            event_type="c", timestamp=stamp, parameters={"p": 2},
+            constituents=(a,), uid=7,
+        )  # fmt: skip
+        for occurrence in (by_position, by_keyword):
+            assert occurrence.event_type == "c"
+            assert occurrence.timestamp is stamp
+            assert occurrence.parameters == {"p": 2}
+            assert occurrence.constituents == (a,)
+            assert occurrence.uid == 7
+        assert by_position == by_keyword  # same uid
+        assert hash(by_position) == hash(by_keyword) == hash(7)
+
+    def test_defaults(self):
+        occurrence = EventOccurrence("e", CompositeTimestamp.singleton(ts("a", 1)))
+        assert occurrence.parameters == {}
+        assert occurrence.constituents == ()
+        assert occurrence.is_primitive
+        assert not hasattr(occurrence, "__dict__")
+
+    def test_primitive_copies_its_parameters(self):
+        given = {"x": 1}
+        occurrence = EventOccurrence.primitive("e", ts("a", 5, 50), given)
+        given["x"] = 2
+        assert occurrence.parameters == {"x": 1}
+        assert EventOccurrence.primitive("e", ts("a", 5, 51)).parameters == {}
+
+    def test_repr_names_type_uid_and_stamp(self):
+        occurrence = EventOccurrence.primitive("e", ts("a", 5, 50))
+        assert repr(occurrence) == (
+            f"<e#{occurrence.uid} @ CompositeTimestamp{{(a, 5, 50)}}>"
+        )
+
+    def test_detection_is_a_value(self):
+        occurrence = EventOccurrence.primitive("e", ts("a", 5, 50))
+        other = EventOccurrence.primitive("e", ts("a", 5, 50))
+        by_position = Detection("rule", occurrence)
+        by_keyword = Detection(name="rule", occurrence=occurrence)
+        assert by_position == by_keyword
+        assert hash(by_position) == hash(by_keyword)
+        assert by_position != Detection("other", occurrence)
+        assert by_position != Detection("rule", other)  # uid-based underneath
+        assert by_position != ("rule", occurrence)
+        assert repr(by_position) == f"Detection(name='rule', occurrence={occurrence!r})"
+        assert not hasattr(by_position, "__dict__")
+
+    def test_checkpoint_round_trip_of_never_read_parameters(self):
+        detector = Detector()
+        detector.register("(a ; b) ; c", name="abc")
+        detector.feed("a", ts("s1", 1, 10), parameters={"k": "a", "x": 1})
+        detector.feed("b", ts("s1", 4, 40), parameters={"k": "b"})
+        (inner,) = detector.graph.roots["abc"]._firsts
+        assert inner._parameters is None  # emitted, never read
+        restored = Detector()
+        restored.register("(a ; b) ; c", name="abc")
+        restore(restored, snapshot(detector))
+        (copy,) = restored.graph.roots["abc"]._firsts
+        assert copy.parameters == {"k": "b", "x": 1}
+        assert [c.parameters for c in copy.constituents] == [
+            {"k": "a", "x": 1}, {"k": "b"},
+        ]  # fmt: skip
+        assert occurrence_to_dict(inner)["parameters"] == {"k": "b", "x": 1}
+        (detection,) = restored.feed("c", ts("s1", 8, 80), parameters={"x": 3})
+        assert detection.occurrence.parameters == {"k": "b", "x": 3}
 
 
 class TestHistory:
