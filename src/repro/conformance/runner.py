@@ -466,18 +466,7 @@ def _check_sharding(
     occurrences = list(history)
     if not occurrences:
         return _skip("sharding", "no events")
-    events = []
-    for occurrence in occurrences:
-        stamp = next(iter(occurrence.timestamp))
-        events.append(
-            ServeEvent(
-                event_type=occurrence.event_type,
-                site=stamp.site,
-                global_time=stamp.global_time,
-                local=stamp.local,
-                parameters=dict(occurrence.parameters),
-            )
-        )
+    events = [ServeEvent.from_occurrence(o) for o in occurrences]
     horizon = max(event.granule for event in events) + _temporal_pad(
         expression
     )
@@ -568,18 +557,7 @@ def _check_failover(
     occurrences = list(history)
     if not occurrences:
         return _skip("failover", "no events")
-    events = []
-    for occurrence in occurrences:
-        stamp = next(iter(occurrence.timestamp))
-        events.append(
-            ServeEvent(
-                event_type=occurrence.event_type,
-                site=stamp.site,
-                global_time=stamp.global_time,
-                local=stamp.local,
-                parameters=dict(occurrence.parameters),
-            )
-        )
+    events = [ServeEvent.from_occurrence(o) for o in occurrences]
     horizon = max(event.granule for event in events) + _temporal_pad(
         expression
     )
@@ -696,18 +674,7 @@ def _check_tenancy(
     occurrences = list(history)
     if not occurrences:
         return _skip("tenancy", "no events")
-    events = []
-    for occurrence in occurrences:
-        stamp = next(iter(occurrence.timestamp))
-        events.append(
-            ServeEvent(
-                event_type=occurrence.event_type,
-                site=stamp.site,
-                global_time=stamp.global_time,
-                local=stamp.local,
-                parameters=dict(occurrence.parameters),
-            )
-        )
+    events = [ServeEvent.from_occurrence(o) for o in occurrences]
     horizon = max(event.granule for event in events) + _temporal_pad(
         expression
     )
@@ -849,18 +816,7 @@ def _check_netfault(
     occurrences = list(history)
     if not occurrences:
         return _skip("netfault", "no events")
-    events = []
-    for occurrence in occurrences:
-        stamp = next(iter(occurrence.timestamp))
-        events.append(
-            ServeEvent(
-                event_type=occurrence.event_type,
-                site=stamp.site,
-                global_time=stamp.global_time,
-                local=stamp.local,
-                parameters=dict(occurrence.parameters),
-            )
-        )
+    events = [ServeEvent.from_occurrence(o) for o in occurrences]
     horizon = max(event.granule for event in events) + _temporal_pad(
         expression
     )

@@ -37,7 +37,7 @@ from repro.events.expressions import EventExpression, Primitive
 from repro.events.occurrences import EventOccurrence
 from repro.events.parser import parse_expression
 from repro.obs.instrument import Instrumentation, resolve
-from repro.detection.detector import Detection, Detector
+from repro.detection.detector import Detection, Detector, logged_occurrences
 from repro.detection.graph import EventGraph
 from repro.detection.nodes import (
     Node,
@@ -158,7 +158,12 @@ class DistributedDetector:
         callback: Callable[[Detection], None] | None = None,
         optimize: bool = False,
     ) -> Node:
-        """Register a composite event and place its operator nodes."""
+        """Register a composite event and place its operator nodes.
+
+        As on :meth:`repro.detection.detector.Detector.register`, a
+        ``callback`` owns the rule's detections: they are delivered to
+        it and not appended to :attr:`detections`.
+        """
         if isinstance(expression, str):
             expression = parse_expression(expression)
         if optimize:
@@ -356,14 +361,7 @@ class DistributedDetector:
 
     def _emit_from(self, node: Node, occurrence: EventOccurrence) -> list[Detection]:
         obs = self.obs
-        detections: list[Detection] = []
-        name = node.name
-        if occurrence.event_type == name and self.graph.roots.get(name) is node:
-            detection = Detection(name=name, occurrence=occurrence)
-            self.detections.append(detection)
-            for callback in self._callbacks.get(name, ()):
-                callback(detection)
-            detections.append(detection)
+        detections = self._record_if_root(node, occurrence)
         placements = self.placements
         node_site = placements[node]
         for edge in self.graph.subscribers(node):
@@ -404,15 +402,19 @@ class DistributedDetector:
     def _record_if_root(
         self, node: Node, occurrence: EventOccurrence
     ) -> list[Detection]:
-        if occurrence.event_type != node.name:
+        """A registered root's emission goes to its one owner: the rule's
+        callbacks if it has any, the log otherwise (the rule of
+        :meth:`repro.detection.detector.Detector.register`)."""
+        name = node.name
+        if occurrence.event_type != name or self.graph.roots.get(name) is not node:
             return []
-        registered = self.graph.roots.get(node.name)
-        if registered is not node:
-            return []
-        detection = Detection(name=node.name, occurrence=occurrence)
-        self.detections.append(detection)
-        for callback in self._callbacks.get(node.name, []):
-            callback(detection)
+        detection = Detection(name, occurrence)
+        callbacks = self._callbacks.get(name)
+        if callbacks:
+            for callback in callbacks:
+                callback(detection)
+        else:
+            self.detections.append(detection)
         return [detection]
 
     # --- timers -------------------------------------------------------------
@@ -481,8 +483,9 @@ class DistributedDetector:
         return sum(m.size for m in self.message_log)
 
     def detections_of(self, name: str) -> list[EventOccurrence]:
-        """All recorded occurrences of one registered composite event."""
-        return [d.occurrence for d in self.detections if d.name == name]
+        """All logged occurrences of one registered composite event;
+        raises for a rule whose callbacks own its detections."""
+        return logged_occurrences(self, name)
 
     def prune_before(self, global_time: int) -> int:
         """Garbage-collect node buffers below a granule horizon (all sites)."""

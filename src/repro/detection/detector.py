@@ -30,7 +30,7 @@ from collections import deque
 from typing import Any, Callable, Mapping
 
 from repro.contexts.policies import Context
-from repro.errors import SchedulingError
+from repro.errors import DetectionError, SchedulingError
 from repro.events.expressions import EventExpression
 from repro.events.occurrences import EventOccurrence
 from repro.events.parser import parse_expression
@@ -65,6 +65,19 @@ class Detection:
 
     def __repr__(self) -> str:
         return f"Detection(name={self.name!r}, occurrence={self.occurrence!r})"
+
+
+def logged_occurrences(engine: Any, name: str) -> list[EventOccurrence]:
+    """An engine's logged occurrences of ``name`` — an error, not an
+    empty list, when callbacks own them (delivered, never kept)."""
+    owners = engine._callbacks.get(name)
+    if owners:
+        raise DetectionError(
+            f"detections of {name!r} are delivered to its {len(owners)} "
+            "registered callback(s) and not kept in the engine's log; "
+            "read them where the callback put them"
+        )
+    return [d.occurrence for d in engine.detections if d.name == name]
 
 
 class Detector:
@@ -113,10 +126,13 @@ class Detector:
         """Register a composite event for detection.
 
         ``expression`` may be an AST or Snoop text; ``name`` defaults to
-        the expression's textual form; ``callback`` (optional) is invoked
-        on every detection.  ``optimize=True`` applies the algebraic
-        rewriter (:mod:`repro.events.rewrite`) first — note the
-        ``E or E`` law deliberately deduplicates detections.
+        the expression's textual form.  ``callback`` (optional) becomes
+        the *owner* of the rule's detections: each is handed to it as it
+        fires and is **not** appended to :attr:`detections` (an output
+        no operator reads back); without one the engine keeps the log.
+        ``optimize=True`` applies the algebraic rewriter
+        (:mod:`repro.events.rewrite`) first — note the ``E or E`` law
+        deliberately deduplicates detections.
         """
         if isinstance(expression, str):
             expression = parse_expression(expression)
@@ -292,14 +308,16 @@ class Detector:
     def _record_root(
         self, name: str, emissions: list[EventOccurrence]
     ) -> list[Detection]:
-        """Record one batch of a registered root's emissions, in order."""
+        """Hand one batch of a root's emissions, in order, to its one
+        owner: the rule's callbacks if it has any, the log otherwise."""
         batch = [Detection(name, emission) for emission in emissions]
-        self.detections += batch
         callbacks = self._callbacks.get(name)
         if callbacks:
             for detection in batch:
                 for callback in callbacks:
                     callback(detection)
+        else:
+            self.detections += batch
         return batch
 
     # --- cloning ----------------------------------------------------------
@@ -331,8 +349,10 @@ class Detector:
     # --- introspection ----------------------------------------------------
 
     def detections_of(self, name: str) -> list[EventOccurrence]:
-        """All recorded occurrences of one registered composite event."""
-        return [d.occurrence for d in self.detections if d.name == name]
+        """All logged occurrences of one registered composite event;
+        raises :class:`~repro.errors.DetectionError` for a rule whose
+        callbacks own its detections (see :meth:`register`)."""
+        return logged_occurrences(self, name)
 
     def pending_timers(self) -> int:
         """Number of timers not yet fired."""

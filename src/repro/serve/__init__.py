@@ -100,6 +100,7 @@ from repro.serve.protocol import (
     parse_hello,
     parse_hello_tenant,
     resolve_codec,
+    row_line,
 )
 from repro.serve.router import EventRouter, shard_of
 from repro.serve.runtime import ServingRuntime, serve_events
@@ -215,6 +216,7 @@ __all__ = [
     "replay_with_netfault",
     "resolve_codec",
     "resolve_transport",
+    "row_line",
     "run_worker",
     "serve_events",
     "serve_stdin",

@@ -63,11 +63,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, IO, Mapping
 
 from repro.contexts.policies import Context
-from repro.detection.approximate import (
-    ApproximateStabilizer,
-    Verdict,
-    VerdictDetection,
-)
+from repro.detection.approximate import Verdict, VerdictDetection
 from repro.detection.checkpoint import restore as restore_detector
 from repro.detection.checkpoint import snapshot as snapshot_detector
 from repro.detection.detector import Detection, Detector
@@ -89,6 +85,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.rebalance import ScaleReport, graft_detector
 from repro.serve.router import EventRouter
+from repro.serve.shard import shard_engines
 from repro.serve.transport import (
     WorkerLink,
     WorkerTransport,
@@ -359,6 +356,10 @@ class ShardReplica:
     always produces the same detections in the same order, so a tag
     ``(seq, k)`` names a detection stably across crash/replay — the
     property the supervisor's :class:`DetectionLedger` relies on.
+
+    The replica consumes its detector's detections (every rule has a
+    collecting callback, :meth:`apply` hands out what one entry fired),
+    so the detector's log stays empty however long the worker lives.
     """
 
     def __init__(
@@ -370,26 +371,12 @@ class ShardReplica:
         instrumentation: Instrumentation | None = None,
     ) -> None:
         self.index = index
-        # Same logical site on every replica (see DetectionShard): timer
-        # stamps must stay comparable across an elastic re-home, and the
-        # physical shard index travels in the detection rows instead.
-        self.detector = Detector(
-            site="shard",
-            timer_ratio=timer_ratio,
-            instrumentation=instrumentation,
+        self.detector, self.stabilizer = shard_engines(
+            timer_ratio, approximate, instrumentation
         )
         self.approximate = approximate
-        self.stabilizer: ApproximateStabilizer | None = (
-            ApproximateStabilizer(
-                self.detector,
-                sites=[],
-                auto_sites=True,
-                instrumentation=instrumentation,
-            )
-            if approximate
-            else None
-        )
         self.applied_seq = 0
+        self._fired: list[Detection] = []
 
     def register(
         self,
@@ -397,7 +384,9 @@ class ShardReplica:
         name: str,
         context: Context = Context.UNRESTRICTED,
     ) -> None:
-        self.detector.register(expression, name=name, context=context)
+        self.detector.register(
+            expression, name=name, context=context, callback=self._fired.append
+        )
 
     def apply(self, entry: WalEntry) -> list[TaggedDetection]:
         """Apply one WAL entry; returns the tagged detections it fired.
@@ -422,26 +411,27 @@ class ShardReplica:
                 verdicts.extend(stabilizer.advance_shadow(entry.granule))
                 verdicts.extend(stabilizer.announce_all(entry.granule))
             verdicts.extend(stabilizer.advance_exact())
-            self.applied_seq = entry.seq
-            return [
+            tagged = [
                 TaggedDetection(entry.seq, k, verdict.detection, verdict)
                 for k, verdict in enumerate(verdicts)
             ]
-        detector = self.detector
-        detections: list[Detection] = []
-        if entry.kind == KIND_EVENT:
-            event = entry.event
-            if event.granule > detector.now_global:
-                detections.extend(detector.advance_time(event.granule))
-            detections.extend(detector.feed(event.occurrence()))
         else:
-            if entry.granule > detector.now_global:
-                detections.extend(detector.advance_time(entry.granule))
+            detector = self.detector
+            if entry.kind == KIND_EVENT:
+                event = entry.event
+                if event.granule > detector.now_global:
+                    detector.advance_time(event.granule)
+                detector.feed(event.occurrence())
+            elif entry.granule > detector.now_global:
+                detector.advance_time(entry.granule)
+            tagged = [
+                TaggedDetection(entry.seq, k, detection)
+                for k, detection in enumerate(self._fired)
+            ]
+        # Tagged above — or, on the anytime path, out as CONFIRMED verdicts.
+        self._fired.clear()
         self.applied_seq = entry.seq
-        return [
-            TaggedDetection(entry.seq, k, detection)
-            for k, detection in enumerate(detections)
-        ]
+        return tagged
 
     def snapshot(self) -> dict[str, Any]:
         """Checkpoint: the applied watermark plus the detector state."""
@@ -584,7 +574,10 @@ class LocalFailoverCluster(ClusterAdmin):
         survives :meth:`scale`'s re-hash)."""
         index = self.router.assign(name, salt=salt)
         self._rules[name] = (expression, context)
-        self._replica(index).register(expression, name, context)
+        if index in self._replicas:
+            self._replicas[index].register(expression, name, context)
+        else:
+            self._replica(index)  # a new replica registers all its shard's rules
         self._bind()
         return index
 
@@ -1784,14 +1777,11 @@ class ClusterSupervisor(ClusterAdmin):
         elif op == "detection":
             seq, k = int(frame["seq"]), int(frame["k"])
             if self.ledger.offer(index, seq, k):
-                row = frame["row"]
-                self._detections.setdefault(row["detection"], []).append(row)
                 if self.obs.enabled:
                     self.obs.counter(
                         "serve.detections", shard=index
                     ).inc()
-                if self.on_detection is not None:
-                    self.on_detection(row)
+                self._deliver_row(frame["row"])
         elif op == "checkpoint_state":
             store = self._stores[index]
             store.save(
@@ -1806,6 +1796,14 @@ class ClusterSupervisor(ClusterAdmin):
                 # scale() is waiting on this state for migration.
                 worker.handoff.set_result(dict(frame["state"]))
         # "error" frames are tolerated: the worker survived the problem.
+
+    def _deliver_row(self, row: dict[str, Any]) -> None:
+        """A ledger-accepted row goes to its one owner: the sink if there
+        is one, the collected rows (:meth:`detection_rows`) otherwise."""
+        if self.on_detection is not None:
+            self.on_detection(row)
+        else:
+            self._detections.setdefault(row["detection"], []).append(row)
 
     # --- failure detection and recovery ----------------------------------
 
@@ -2006,12 +2004,7 @@ class ClusterSupervisor(ClusterAdmin):
         for entry in tail:
             for tagged in replica.apply(entry):
                 if self.ledger.offer(index, tagged.seq, tagged.k):
-                    row = detection_to_json(index, tagged.detection)
-                    self._detections.setdefault(
-                        row["detection"], []
-                    ).append(row)
-                    if self.on_detection is not None:
-                        self.on_detection(row)
+                    self._deliver_row(detection_to_json(index, tagged.detection))
         self.replayed += len(tail)
         return replica
 
@@ -2360,7 +2353,8 @@ class ClusterSupervisor(ClusterAdmin):
     # --- results ---------------------------------------------------------
 
     def detection_rows(self, name: str) -> list[dict[str, Any]]:
-        """The collected JSON detection rows of one rule."""
+        """The collected JSON detection rows of one rule (none when an
+        ``on_detection`` sink takes them)."""
         if name not in self._rules:
             raise ReproError(f"no rule named {name!r} is registered")
         return list(self._detections.get(name, ()))
@@ -2416,6 +2410,7 @@ async def cluster_serve_stdin(
         get_codec,
         hello_ack_line,
         parse_hello,
+        row_line,
     )
 
     mode = codec if codec is not None else supervisor.config.codec
@@ -2433,9 +2428,7 @@ async def cluster_serve_stdin(
         payload.update(fields)
         write_line(json.dumps(payload, sort_keys=True))
 
-    supervisor.on_detection = lambda row: write_line(
-        json.dumps(row, sort_keys=True)
-    )
+    supervisor.on_detection = lambda row: write_line(row_line(row))
     count = 0
     last_granule: int | None = None
 

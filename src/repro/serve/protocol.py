@@ -54,7 +54,7 @@ import warnings
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.detection.detector import Detection
 from repro.errors import CodecError, ReproError
@@ -250,6 +250,8 @@ def detection_to_json(
 ) -> dict[str, Any]:
     """The JSON row emitted for one detection.
 
+    Triples are listed sorted by ``(site, global, local)``, so a row's
+    bytes do not depend on the order the max-set iterates in.
     Exact-mode rows carry no verdict keys at all, so version-0 readers
     are unaffected; an approximate-mode row adds ``verdict``
     (``"tentative"`` / ``"confirmed"`` / ``"retracted"``), its emission
@@ -260,10 +262,12 @@ def detection_to_json(
     row = {
         "detection": detection.name,
         "shard": shard,
-        "timestamp": [list(t.as_triple()) for t in occurrence.timestamp],
+        "timestamp": sorted(
+            [t.site, t.global_time, t.local] for t in occurrence.timestamp
+        ),
         "parameters": {
             key: value
-            for key, value in dict(occurrence.parameters).items()
+            for key, value in occurrence.parameters.items()
             if isinstance(value, (str, int, float, bool, type(None)))
         },
     }
@@ -275,8 +279,29 @@ def detection_to_json(
     return row
 
 
-def _detection_row_text(row: Mapping[str, Any]) -> str:
-    return json.dumps(row, sort_keys=True)
+def _sorted_key_encoder() -> Callable[[Any, int], Iterable[str]]:
+    """The chunk encoder ``json.dumps(..., sort_keys=True)`` builds anew
+    on every call, built once (a row's options never change)."""
+    encoder = json.JSONEncoder(sort_keys=True)
+    make = json.encoder.c_make_encoder
+    if make is None:  # no C accelerator: the public method, same bytes
+        return lambda value, _level: (encoder.encode(value),)
+    # No marker table: one shared across calls would keep the ids of a
+    # row whose encoding raised; a cyclic row hits the recursion limit.
+    return make(
+        None, encoder.default, json.encoder.encode_basestring_ascii, None,
+        encoder.key_separator, encoder.item_separator, True, False, True,
+    )
+
+
+_ROW_CHUNKS = _sorted_key_encoder()
+
+
+def row_line(row: Mapping[str, Any]) -> str:
+    """The JSONL text of one detection row (no newline): the one step
+    from :func:`detection_to_json` to the wire, byte-identical to
+    ``json.dumps(row, sort_keys=True)``."""
+    return "".join(_ROW_CHUNKS(row, 0))
 
 
 def detection_to_line(shard: int, detection: Detection) -> str:
@@ -287,7 +312,7 @@ def detection_to_line(shard: int, detection: Detection) -> str:
         DeprecationWarning,
         stacklevel=2,
     )
-    return _detection_row_text(detection_to_json(shard, detection))
+    return row_line(detection_to_json(shard, detection))
 
 
 # --- the versioned codec API -------------------------------------------------
@@ -375,9 +400,7 @@ class JsonlCodec(Codec):
         return events
 
     def encode_detections(self, rows: Sequence[Mapping[str, Any]]) -> bytes:
-        return "".join(
-            _detection_row_text(row) + "\n" for row in rows
-        ).encode("utf-8")
+        return "".join(row_line(row) + "\n" for row in rows).encode("utf-8")
 
     def decode_detections(self, data: bytes) -> list[dict[str, Any]]:
         rows = []
@@ -498,18 +521,6 @@ class _Cursor:
 
     def unpack(self, fmt: struct.Struct) -> int:
         return fmt.unpack(self.take(fmt.size))[0]
-
-    def unpack_many(self, code: str, count: int) -> tuple:
-        fmt = struct.Struct(f"<{count}{code}")
-        return fmt.unpack(self.take(fmt.size))
-
-    def json(self) -> Any:
-        length = self.unpack(_U32)
-        blob = self.take(length)
-        try:
-            return json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise CodecError(f"malformed embedded JSON: {error}") from None
 
     def done(self) -> None:
         if self.pos != len(self.data):
@@ -802,8 +813,7 @@ class BinaryCodec(Codec):
 
     def decode_detections(self, data: bytes) -> list[dict[str, Any]]:
         _, payload = self.unframe(data, expected_kind=FRAME_DETECTIONS)
-        cursor = _Cursor(_U32.pack(len(payload)) + payload)
-        rows = cursor.json()
+        rows = _loads_or_codec_error(payload)
         if not isinstance(rows, list) or not all(
             isinstance(row, dict) for row in rows
         ):
@@ -817,8 +827,7 @@ class BinaryCodec(Codec):
 
     def decode_control(self, data: bytes) -> dict[str, Any]:
         _, payload = self.unframe(data, expected_kind=FRAME_CONTROL)
-        cursor = _Cursor(_U32.pack(len(payload)) + payload)
-        frame = cursor.json()
+        frame = _loads_or_codec_error(payload)
         if not isinstance(frame, dict) or frame.get("op") not in CONTROL_OPS:
             raise CodecError("malformed binary control frame")
         return frame

@@ -112,7 +112,8 @@ class ServingRuntime:
 
         ``callback`` fires synchronously inside the owning shard's
         worker on each detection — the streaming hook the JSONL servers
-        emit through.
+        emit through — and the owner of the rule's detections, which
+        are then delivered, not kept (see :meth:`detections`).
         """
         index = self.router.assign(name)
         self.shards[index].register(
@@ -234,14 +235,22 @@ class ServingRuntime:
     # --- results ----------------------------------------------------------
 
     def detections(self) -> list[tuple[int, Detection]]:
-        """All ``(shard index, detection)`` pairs in per-shard order."""
+        """All ``(shard index, detection)`` pairs in per-shard order.
+
+        Built when called, from the shard detectors' logs: the rules
+        registered *without* a callback (all of them after
+        :func:`serve_events`) — empty on a streaming runtime, whose
+        rows left through their callbacks.
+        """
         merged: list[tuple[int, Detection]] = []
         for shard in self.shards:
             merged.extend(shard.detections)
         return merged
 
     def detections_of(self, name: str) -> list[EventOccurrence]:
-        """Occurrences of one rule (it lives on exactly one shard)."""
+        """Occurrences of one rule (it lives on exactly one shard);
+        raises :class:`~repro.errors.DetectionError` when a callback
+        owns them."""
         index = self.router.assignments.get(name)
         if index is None:
             raise ReproError(f"no rule named {name!r} is registered")

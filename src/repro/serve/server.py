@@ -49,7 +49,7 @@ from __future__ import annotations
 import asyncio
 import json
 import sys
-from typing import Any, Callable, IO, Iterable, Mapping
+from typing import Any, Callable, IO, Iterable
 
 from repro.errors import CodecError, ReproError
 from repro.serve.protocol import (
@@ -62,6 +62,7 @@ from repro.serve.protocol import (
     get_codec,
     hello_ack_line,
     parse_hello,
+    row_line,
 )
 from repro.serve.runtime import ServingRuntime
 
@@ -76,7 +77,9 @@ class DetectionBroadcast:
     """
 
     def __init__(self) -> None:
-        self._sinks: list[Callable[[dict[str, Any]], None]] = []
+        # Replaced, never mutated, by attach/detach/eviction: emit
+        # iterates the tuple it read without copying it per row.
+        self._sinks: tuple[Callable[[dict[str, Any]], None], ...] = ()
         self.emitted = 0
         #: Sinks evicted because delivery raised (e.g. a TCP client
         #: that reset abruptly) — their undeliverable row is counted
@@ -87,25 +90,22 @@ class DetectionBroadcast:
         self, sink: Callable[[dict[str, Any]], None]
     ) -> Callable[[], None]:
         """Add a row consumer; returns its detach function."""
-        self._sinks.append(sink)
+        self._sinks += (sink,)
+        return lambda: self._drop(sink)
 
-        def detach() -> None:
-            if sink in self._sinks:
-                self._sinks.remove(sink)
-
-        return detach
+    def _drop(self, sink: Callable[[dict[str, Any]], None]) -> None:
+        self._sinks = tuple(s for s in self._sinks if s is not sink)
 
     def emit(self, row: dict[str, Any]) -> None:
         self.emitted += 1
-        for sink in list(self._sinks):
+        for sink in self._sinks:
             try:
                 sink(row)
             except (OSError, ConnectionError):
                 # A dead transport must not poison the emitting shard's
                 # callback path (one reset client would otherwise stop
                 # detection delivery for every other consumer).
-                if sink in self._sinks:
-                    self._sinks.remove(sink)
+                self._drop(sink)
                 self.evicted += 1
 
 
@@ -150,10 +150,6 @@ def wire_rules(
 
 def _error_line(message: str) -> str:
     return json.dumps({"error": message}, sort_keys=True)
-
-
-def _row_line(row: Mapping[str, Any]) -> str:
-    return json.dumps(row, sort_keys=True)
 
 
 class _Connection:
@@ -242,7 +238,7 @@ async def serve_stdin(
         target.write(line + "\n")
         target.flush()
 
-    detach = broadcast.attach(lambda row: write_line(_row_line(row)))
+    detach = broadcast.attach(lambda row: write_line(row_line(row)))
     connection = _Connection(mode, max_line_bytes)
     count = 0
     last_granule: int | None = None
@@ -339,7 +335,7 @@ async def serve_tcp(
             if connection.codec is not None and connection.codec.version > 0:
                 writer.write(connection.codec.encode_detections([row]))
             else:
-                writer.write(_row_line(row).encode("utf-8") + b"\n")
+                writer.write(row_line(row).encode("utf-8") + b"\n")
 
         detach = broadcast.attach(emit_row)
         try:

@@ -44,6 +44,26 @@ from repro.serve.protocol import ServeEvent, batch_occurrences
 _STOP = object()
 
 
+def shard_engines(
+    timer_ratio: int, approximate: bool, instrumentation: Instrumentation | None
+) -> tuple[Detector, ApproximateStabilizer | None]:
+    """One shard's (or replica's) detector and its anytime stabilizer.
+
+    The detector site is logical, not physical: every shard uses the
+    same name so timer stamps (``shard.timer``) stay comparable when an
+    elastic re-balance re-homes a rule.  Which shard detected an
+    occurrence is carried by the row's index, never by the timestamp.
+    """
+    detector = Detector(
+        site="shard", timer_ratio=timer_ratio, instrumentation=instrumentation
+    )
+    if not approximate:
+        return detector, None
+    return detector, ApproximateStabilizer(
+        detector, sites=[], auto_sites=True, instrumentation=instrumentation
+    )
+
+
 class DetectionShard:
     """One shard of the serving runtime.
 
@@ -92,27 +112,10 @@ class DetectionShard:
         self.capacity = capacity
         self.high_water = high_water
         self.obs = resolve(instrumentation)
-        # The detector site is logical, not physical: every shard uses
-        # the same name so timer stamps (``shard.timer``) stay mutually
-        # comparable when a rule is re-homed onto a different shard by
-        # an elastic re-balance.  Which physical shard detected an
-        # occurrence is carried by ``index``, never by the timestamp.
-        self.detector = Detector(
-            site="shard",
-            timer_ratio=timer_ratio,
-            instrumentation=instrumentation,
+        self.detector, self.stabilizer = shard_engines(
+            timer_ratio, approximate, instrumentation
         )
         self.approximate = approximate
-        self.stabilizer: ApproximateStabilizer | None = (
-            ApproximateStabilizer(
-                self.detector,
-                sites=[],
-                auto_sites=True,
-                instrumentation=instrumentation,
-            )
-            if approximate
-            else None
-        )
         self.verdicts: list[tuple[int, VerdictDetection]] = []
         #: Streaming hook: called with ``(shard index, verdict)`` for
         #: every verdict emission (the approximate-mode analogue of the
@@ -121,7 +124,6 @@ class DetectionShard:
         self.queue: asyncio.Queue[Any] = asyncio.Queue(maxsize=capacity)
         self.events_processed = 0
         self.batches_flushed = 0
-        self.detections: list[tuple[int, Detection]] = []
         self._batch: list[ServeEvent] = []
         self._batch_granule: int | None = None
         self._task: asyncio.Task | None = None
@@ -151,6 +153,14 @@ class DetectionShard:
     def detections_of(self, name: str) -> list:
         """Occurrences of one rule registered on this shard."""
         return self.detector.detections_of(name)
+
+    @property
+    def detections(self) -> list[tuple[int, Detection]]:
+        """``(shard index, detection)`` pairs, built when read from the
+        detector's log: the rules registered without a callback (the
+        shard keeps no copy, so a streamed rule contributes nothing)."""
+        index = self.index
+        return [(index, detection) for detection in self.detector.detections]
 
     # --- ingest side ------------------------------------------------------
 
@@ -240,15 +250,15 @@ class DetectionShard:
                 record_verdicts(stabilizer.offer(occurrence))
             record_verdicts(stabilizer.advance_exact())
         else:
+            fired = 0
             if granule is not None and granule > detector.now_global:
-                self._record(detector.advance_time(granule))
+                fired = len(detector.advance_time(granule))
             # One stamping pass for the whole batch (kernels.batch_stamps)
             # instead of N constructor calls — the ingest-side half of
-            # the granule-batch amortization.
-            feed = detector.feed
-            record = self._record
-            for occurrence in batch_occurrences(batch):
-                record(feed(occurrence))
+            # the granule-batch amortization.  The detector has handed
+            # each detection to its owner; only the count is ours.
+            fired += sum(map(len, map(detector.feed, batch_occurrences(batch))))
+            self._count_detections(fired)
         self.events_processed += len(batch)
         self.batches_flushed += 1
         if self.obs.enabled:
@@ -260,13 +270,9 @@ class DetectionShard:
             )
             self.obs.counter("serve.events", shard=self.index).inc(len(batch))
 
-    def _record(self, detections: list[Detection]) -> None:
-        index = self.index
-        self.detections += [(index, detection) for detection in detections]
-        if detections and self.obs.enabled:
-            self.obs.counter("serve.detections", shard=self.index).inc(
-                len(detections)
-            )
+    def _count_detections(self, fired: int) -> None:
+        if fired and self.obs.enabled:
+            self.obs.counter("serve.detections", shard=self.index).inc(fired)
 
     def _record_verdicts(self, verdicts: list[VerdictDetection]) -> None:
         sink = self.verdict_sink
@@ -297,7 +303,7 @@ class DetectionShard:
             self._record_verdicts(stabilizer.advance_exact())
             return
         if granule > self.detector.now_global:
-            self._record(self.detector.advance_time(granule))
+            self._count_detections(len(self.detector.advance_time(granule)))
 
     async def drain(self) -> None:
         """Wait until every queued event has been processed and flushed."""

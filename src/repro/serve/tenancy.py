@@ -408,17 +408,23 @@ def replay_tenant(
     replica = ShardReplica(0, timer_ratio=timer_ratio)
     for name, (expression, context) in rules.items():
         replica.register(expression, name, context)
+    detections: dict[str, list[EventOccurrence]] = {name: [] for name in rules}
+
+    def apply(entry: WalEntry) -> None:
+        for tagged in replica.apply(entry):
+            detections[tagged.detection.name].append(
+                tagged.detection.occurrence
+            )
+
     seq = 0
     for event in events:
         if upto is not None and event.granule >= upto:
             continue
         seq += 1
-        replica.apply(WalEntry(seq, KIND_EVENT, event=event))
+        apply(WalEntry(seq, KIND_EVENT, event=event))
     if upto is not None:
-        replica.apply(WalEntry(seq + 1, KIND_ADVANCE, granule=upto))
-    return {
-        name: replica.detector.detections_of(name) for name in rules
-    }
+        apply(WalEntry(seq + 1, KIND_ADVANCE, granule=upto))
+    return detections
 
 
 # --- the multi-tenant cluster -------------------------------------------------

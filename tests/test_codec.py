@@ -12,12 +12,18 @@ units after it still parse.  The negotiation matrix
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import repro
+from repro.detection.detector import Detection
 from repro.errors import CodecError, ReproError
+from repro.events.occurrences import EventOccurrence
 from repro.serve.protocol import (
     BINARY_VERSION,
     CODEC_NAMES,
@@ -31,6 +37,7 @@ from repro.serve.protocol import (
     ServeEvent,
     StreamDecoder,
     choose_codec,
+    detection_to_json,
     detection_to_line,
     event_to_line,
     frame_to_line,
@@ -41,7 +48,11 @@ from repro.serve.protocol import (
     parse_frame,
     parse_hello,
     resolve_codec,
+    row_line,
 )
+from repro.sim.serving import ServingWorkload
+from repro.time.composite import CompositeTimestamp
+from repro.time.timestamps import PrimitiveTimestamp
 
 JSONL = get_codec("jsonl")
 BINARY = get_codec("binary")
@@ -91,6 +102,85 @@ def detection_rows(draw):
         ),
         "parameters": draw(st.dictionaries(st.text(max_size=8), json_scalars, max_size=3)),
     }
+
+
+# Names that need escaping, every scalar a parameter may carry (floats
+# with nan/inf, integers past 2**64), and non-scalars the row drops.
+awkward_names = st.one_of(names, st.sampled_from(['say "hi"', "naïve\\site", "規則", "a\nb"]))
+row_scalars = st.one_of(
+    st.integers(min_value=-(1 << 80), max_value=1 << 80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=12),
+    st.booleans(),
+    st.none(),
+)
+
+
+@st.composite
+def detections(draw):
+    """A detection whose stamp has up to three concurrent triples."""
+    granule = draw(st.integers(min_value=0, max_value=MAX_U64 - 1))
+    sites = draw(st.lists(awkward_names, min_size=1, max_size=3, unique=True))
+    stamps = [
+        PrimitiveTimestamp(site, granule + draw(st.integers(0, 1)), draw(narrow_ticks))
+        for site in sites
+    ]
+    parameters = draw(
+        st.dictionaries(
+            st.text(max_size=8),
+            st.one_of(row_scalars, st.lists(row_scalars, max_size=2)),
+            max_size=4,
+        )
+    )
+    return Detection(
+        draw(awkward_names),
+        EventOccurrence("e", CompositeTimestamp.of(*stamps), parameters),
+    )
+
+
+class TestRowLine:
+    @given(
+        detections(),
+        st.integers(min_value=0, max_value=64),
+        st.sampled_from([None, "tentative", "confirmed", "retracted"]),
+        st.integers(min_value=0, max_value=1 << 70),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=1 << 70)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_rendering_step_equals_sorted_key_dumps(
+        self, detection, shard, verdict, seq, ref
+    ):
+        row = detection_to_json(shard, detection, verdict=verdict, seq=seq, ref=ref)
+        assert row_line(row) == json.dumps(row, sort_keys=True)
+        assert ("verdict" in row) == (verdict is not None)
+        stamp = detection.occurrence.timestamp
+        assert row["timestamp"] == sorted(list(t.as_triple()) for t in stamp)
+        assert all(
+            isinstance(value, (str, int, float, bool, type(None)))
+            for value in row["parameters"].values()
+        )
+        assert JSONL.encode_detections([row]) == (row_line(row) + "\n").encode()
+
+    def test_rows_are_the_same_bytes_under_any_hash_seed(self):
+        """A stamp is a frozenset; a row must not show its iteration order."""
+        workload = ServingWorkload.standard(seed=3, events=150)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = seed
+            served = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "serve", "--shards", "4", "--stdin"],
+                input=workload.to_jsonl().encode(),
+                env=env,
+                capture_output=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(sorted(served.stdout.splitlines()))
+        rows = [json.loads(line) for line in outputs[0]]
+        assert sum(len(row["timestamp"]) > 1 for row in rows) > 100
+        assert outputs[0] == outputs[1]
 
 
 class TestEventRoundTrip:
@@ -412,10 +502,6 @@ class TestDeprecatedAliases:
             assert parse_event_line(line) == event
 
     def test_detection_line_alias_warns(self):
-        from repro.detection.detector import Detection
-        from repro.events.occurrences import EventOccurrence
-        from repro.time.timestamps import PrimitiveTimestamp
-
         occurrence = EventOccurrence.primitive(
             "buy", PrimitiveTimestamp("ny", 1, 10), {}
         )

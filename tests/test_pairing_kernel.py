@@ -248,38 +248,56 @@ GOLDEN = [
 ]  # fmt: skip
 
 
+RULES = {
+    "ab": "a ; b",  # shared, a root with subscribers
+    "abc": "(a ; b) and c",  # a root without
+    "abd": "(a ; b) ; d",
+    "ab_again": "a ; b",  # alias under a root
+}
+
+
+def feed_stream(detector):
+    """Per feed of STREAM, the detections it returned."""
+    return [
+        detector.feed(
+            kind,
+            PrimitiveTimestamp(site, global_time, local),
+            parameters={"i": index},
+        )
+        for index, (kind, site, global_time, local) in enumerate(STREAM)
+    ]
+
+
 class TestDetectionOrder:
     def test_feed_returns_detections_in_bfs_order(self):
-        detector = Detector()
-        seen = []
-        for name, rule in {
-            "ab": "a ; b",  # shared, a root with subscribers
-            "abc": "(a ; b) and c",  # a root without
-            "abd": "(a ; b) ; d",
-            "ab_again": "a ; b",  # alias under a root
-        }.items():
-            detector.register(rule, name=name, callback=seen.append)
-        fired = []
-        for index, (kind, site, global_time, local) in enumerate(STREAM):
-            detections = detector.feed(
-                kind,
-                PrimitiveTimestamp(site, global_time, local),
-                parameters={"i": index},
-            )
-            fired.append(
-                [
-                    (
-                        d.name,
-                        tuple(
-                            leaf.parameters["i"]
-                            for leaf in d.occurrence.primitive_leaves()
-                        ),
-                    )
-                    for d in detections
-                ]
-            )
+        # A detection has one owner, so each order has its own detector:
+        # the log's on one registered without callbacks ...
+        logging = Detector()
+        for name, rule in RULES.items():
+            logging.register(rule, name=name)
+        fired = [
+            [
+                (
+                    d.name,
+                    tuple(
+                        leaf.parameters["i"]
+                        for leaf in d.occurrence.primitive_leaves()
+                    ),
+                )
+                for d in detections
+            ]
+            for detections in feed_stream(logging)
+        ]
         assert fired == GOLDEN
-        assert [d.name for d in detector.detections] == [
+        assert [d.name for d in logging.detections] == [
             name for feed in GOLDEN for name, _ in feed
         ]
-        assert seen == detector.detections  # callbacks fired in that order too
+        # ... the callbacks' on one registered with them.
+        streaming = Detector()
+        seen = []
+        for name, rule in RULES.items():
+            streaming.register(rule, name=name, callback=seen.append)
+        returned = [d for feed in feed_stream(streaming) for d in feed]
+        assert [d.name for d in returned] == [d.name for d in logging.detections]
+        assert seen == returned  # callbacks fired in that order too
+        assert streaming.detections == []

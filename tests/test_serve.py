@@ -386,6 +386,30 @@ class TestStdinServer:
         assert len(detections) == broadcast.emitted
 
 
+class TestDetectionBroadcast:
+    def test_a_sink_that_raises_is_evicted_once_and_the_rest_keep_receiving(self):
+        broadcast = DetectionBroadcast()
+        before, after = [], []
+
+        def dead(row):
+            raise ConnectionError("peer reset")
+
+        broadcast.attach(before.append)
+        broadcast.attach(dead)
+        detach = broadcast.attach(after.append)
+        rows = [{"detection": "rt", "n": n} for n in range(3)]
+        for row in rows:
+            broadcast.emit(row)
+        # The row that found the sink dead still reached both survivors,
+        # on either side of it, and so did every later one.
+        assert before == after == rows
+        assert broadcast.evicted == 1
+        assert broadcast.emitted == 3
+        detach()
+        broadcast.emit({"detection": "rt", "n": 3})
+        assert len(before) == 4 and len(after) == 3
+
+
 class TestRestoreMismatchReport:
     def test_all_mismatches_listed_in_one_error(self):
         source = ServingRuntime(config=ServeConfig(shards=2, timer_ratio=10))
