@@ -853,6 +853,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
     """
     import asyncio
     import json
+    import os
     import re
     import subprocess
     import tempfile
@@ -967,6 +968,14 @@ def cmd_scale(args: argparse.Namespace) -> int:
                 return supervisor, reports, signals
 
             supervisor, reports, signals = asyncio.run(drive())
+            # Listed before the directory goes: a migration must leave
+            # nothing behind of a shard map that no longer exists.
+            final = {
+                f"shard{index}{suffix}"
+                for index in range(supervisor.router.shards)
+                for suffix in (".wal", ".ckpt", ".ckpt.prev")
+            }
+            stale = sorted(set(os.listdir(state_dir)) - final)
     finally:
         for process in listeners:
             process.terminate()
@@ -984,6 +993,12 @@ def cmd_scale(args: argparse.Namespace) -> int:
         return 1
 
     failures = 0
+    if stale:
+        failures += 1
+        print(
+            f"[FAIL] state directory holds files of no shard in the final "
+            f"map of {supervisor.router.shards}: {', '.join(stale)}"
+        )
     for name in sorted(rules):
         cluster_multiset = canonical(
             row["timestamp"] for row in supervisor.detection_rows(name)

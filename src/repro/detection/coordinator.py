@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-import warnings
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
@@ -284,21 +283,6 @@ class DistributedDetector:
                 raise TypeError("feed(event_type, stamp) requires a stamp")
             occurrence = EventOccurrence.primitive(occurrence, stamp, parameters)
         return self.feed_occurrence(occurrence)
-
-    def feed_primitive(
-        self,
-        event_type: str,
-        stamp: PrimitiveTimestamp,
-        parameters: Mapping[str, Any] | None = None,
-    ) -> list[Detection]:
-        """Deprecated alias of :meth:`feed` (``event_type, stamp`` form)."""
-        warnings.warn(
-            "DistributedDetector.feed_primitive is deprecated; use "
-            "DistributedDetector.feed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.feed(event_type, stamp, parameters=parameters)
 
     def feed_occurrence(self, occurrence: EventOccurrence) -> list[Detection]:
         """Raise an already-built primitive occurrence at its home site."""

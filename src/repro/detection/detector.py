@@ -15,17 +15,15 @@ Typical use::
 
 :meth:`Detector.feed` is the single documented intake: it accepts either
 a pre-built :class:`~repro.events.occurrences.EventOccurrence` or an
-``(event_type, stamp)`` pair (``feed_primitive`` remains as a deprecated
-alias).  The detector is synchronous and deterministic: every ``feed``
-returns the detections (of registered roots) that the occurrence
-triggered, transitively through the graph.
+``(event_type, stamp)`` pair.  The detector is synchronous and
+deterministic: every ``feed`` returns the detections (of registered
+roots) that the occurrence triggered, transitively through the graph.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import warnings
 from collections import deque
 from typing import Any, Callable, Mapping
 
@@ -246,20 +244,6 @@ class Detector:
             ):
                 return self._propagate(leaf, occurrence)
         return self._propagate(leaf, occurrence)
-
-    def feed_primitive(
-        self,
-        event_type: str,
-        stamp: PrimitiveTimestamp,
-        parameters: Mapping[str, Any] | None = None,
-    ) -> list[Detection]:
-        """Deprecated alias of :meth:`feed` (``event_type, stamp`` form)."""
-        warnings.warn(
-            "Detector.feed_primitive is deprecated; use Detector.feed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.feed(event_type, stamp, parameters=parameters)
 
     def _propagate(self, source: Node, occurrence: EventOccurrence) -> list[Detection]:
         """Push an occurrence from ``source`` through the graph (BFS).

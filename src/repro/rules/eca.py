@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -187,20 +186,6 @@ class RuleManager:
         else:
             self.detector.feed(event, stamp, parameters=parameters)
         return self.executions[before:]
-
-    def raise_event(
-        self,
-        event_type: str,
-        stamp: PrimitiveTimestamp,
-        parameters: Mapping[str, Any] | None = None,
-    ) -> list[RuleExecution]:
-        """Deprecated alias of :meth:`feed`."""
-        warnings.warn(
-            "RuleManager.raise_event is deprecated; use RuleManager.feed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.feed(event_type, stamp, parameters=parameters)
 
     def _on_detection(self, event_name: str, detection: Detection) -> None:
         rules = sorted(

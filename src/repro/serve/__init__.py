@@ -6,11 +6,14 @@ rules across N :class:`~repro.serve.shard.DetectionShard` workers, each
 batching incoming events on ``g_g`` granule boundaries (safe by
 Def 4.4) before feeding the existing engine.  See ``docs/serving.md``.
 
-:mod:`repro.serve.cluster` adds the fault-tolerant tier: every shard a
-supervised worker *process*, with write-ahead logging
-(:mod:`repro.serve.wal`), heartbeat failure detection
-(:mod:`repro.serve.heartbeat`), periodic checkpoints, and automatic
-checkpoint+replay failover that preserves detection multisets.
+:mod:`repro.serve.core` adds the fault-tolerant tier: write-ahead
+logging (:mod:`repro.serve.wal`), periodic checkpoints, and
+checkpoint+replay failover that preserves detection multisets, stated
+once in the sans-IO :class:`~repro.serve.core.ClusterCore`.
+:mod:`repro.serve.cluster` drives it two ways — in-process
+(:class:`~repro.serve.cluster.LocalFailoverCluster`) and with every
+shard a supervised worker *process* (:mod:`repro.serve.worker`) under
+heartbeat failure detection (:mod:`repro.serve.heartbeat`).
 
 The wire formats live behind the versioned :class:`~repro.serve.
 protocol.Codec` API: version 0 is one-JSON-object-per-line
@@ -44,21 +47,22 @@ TENTATIVE / CONFIRMED / RETRACTED verdicts; see ``docs/approximate.md``.
 
 from repro.serve.admin import ClusterAdmin, ClusterStatus
 from repro.serve.cluster import (
-    CheckpointStore,
     ClusterSupervisor,
+    LocalFailoverCluster,
+    ShardUnavailable,
+    cluster_serve_stdin,
+    replay_with_failover,
+)
+from repro.serve.config import ServeConfig
+from repro.serve.core import (
+    CheckpointStore,
+    ClusterCore,
     DetectionLedger,
     FaultInjector,
     FaultPlan,
-    LocalFailoverCluster,
     ShardReplica,
-    ShardUnavailable,
     TaggedDetection,
-    cluster_serve_stdin,
-    replay_with_failover,
-    run_worker,
-    serve_worker_listener,
 )
-from repro.serve.config import ServeConfig
 from repro.serve.netfault import (
     FaultyLink,
     NetFaultPlan,
@@ -89,13 +93,10 @@ from repro.serve.protocol import (
     batch_occurrences,
     choose_codec,
     detection_to_json,
-    detection_to_line,
-    event_to_line,
     frame_to_line,
     get_codec,
     hello_ack_line,
     hello_line,
-    parse_event_line,
     parse_frame,
     parse_hello,
     parse_hello_tenant,
@@ -137,6 +138,7 @@ from repro.serve.transport import (
     resolve_transport,
 )
 from repro.serve.wal import KIND_ADVANCE, KIND_EVENT, ShardWAL, WalEntry
+from repro.serve.worker import run_worker, serve_worker_listener
 
 __all__ = [
     "BINARY_VERSION",
@@ -147,6 +149,7 @@ __all__ = [
     "CheckpointStore",
     "Codec",
     "ClusterAdmin",
+    "ClusterCore",
     "ClusterStatus",
     "ClusterSupervisor",
     "DEFAULT_SESSION_GRACE",
@@ -193,8 +196,6 @@ __all__ = [
     "choose_codec",
     "cluster_serve_stdin",
     "detection_to_json",
-    "detection_to_line",
-    "event_to_line",
     "frame_to_line",
     "get_codec",
     "graft_detector",
@@ -205,7 +206,6 @@ __all__ = [
     "namespace_expression",
     "namespaced_type",
     "new_session_id",
-    "parse_event_line",
     "parse_frame",
     "parse_hello",
     "parse_hello_tenant",

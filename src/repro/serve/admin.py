@@ -7,9 +7,9 @@ four operations an operator (or the CLI) actually performs —
 ``scale``, ``revive``, ``drain``, ``status`` — and both
 :class:`~repro.serve.cluster.ClusterSupervisor` (async) and
 :class:`~repro.serve.cluster.LocalFailoverCluster` (sync) implement
-them, so tooling written against one drives the other.  Superseded
-ad-hoc methods keep working as :class:`DeprecationWarning` aliases,
-mirroring the SimConfig/ServeConfig migration contract.
+them, so tooling written against one drives the other.  What the
+operations *do* is stated once, in :class:`~repro.serve.core.
+ClusterCore`; the two classes differ in how the steps reach a shard.
 """
 
 from __future__ import annotations

@@ -8,24 +8,16 @@ dataclass carrying every knob that used to sprawl across
 serve`` CLI.  Constructing it validates every field eagerly, so a typo
 fails at configuration time rather than mid-stream.
 
-Both entry points accept ``config=ServeConfig(...)``; the old keyword
-arguments still work but emit :class:`DeprecationWarning`, and mixing
-the two styles raises ``TypeError`` (the same contract ``SimCluster``
-established for ``SimConfig``).
+Both entry points take ``config=ServeConfig(...)`` and nothing else
+that configures them.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
-from repro.errors import ReproError
 from repro.serve.session import RetryPolicy
-
-#: Sentinel distinguishing "keyword not passed" from any real value in
-#: the legacy-keyword migration shims.
-UNSET: Any = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,8 +77,7 @@ class ServeConfig:
         # workers= (remote TCP endpoints) and procs= (local subprocess
         # workers) name two different deployment shapes of the same
         # supervisor; silently preferring one would hide a real
-        # misconfiguration, so mixing raises like mixing config= with
-        # legacy keywords does.
+        # misconfiguration, so mixing raises.
         if self.workers is not None and self.procs is not None:
             raise TypeError(
                 "ServeConfig: pass either workers= (remote TCP shard "
@@ -214,46 +205,4 @@ class ServeConfig:
 
     def replace(self, **changes: Any) -> "ServeConfig":
         """A copy with ``changes`` applied (re-validated)."""
-        from dataclasses import replace
-
         return replace(self, **changes)
-
-
-def resolve_config(
-    owner: str,
-    config: ServeConfig | None,
-    legacy: dict[str, Any],
-    *,
-    warn: bool = True,
-) -> ServeConfig:
-    """The SimConfig migration contract, shared by the serving surface.
-
-    ``legacy`` maps legacy keyword names to provided values (callers
-    filter out :data:`UNSET`).  Mixing ``config=`` with legacy keywords
-    raises ``TypeError``; legacy keywords alone warn (unless ``warn`` is
-    off, for convenience wrappers whose keywords are not deprecated) and
-    are folded into a fresh :class:`ServeConfig`.  Invalid legacy values
-    surface as :class:`~repro.errors.ReproError`, matching what the
-    pre-config constructors raised; an invalid ``ServeConfig(...)``
-    built directly raises ``ValueError`` at construction, like
-    ``SimConfig``.
-    """
-    if config is not None:
-        if legacy:
-            raise TypeError(
-                f"{owner}: pass configuration either through "
-                "config=ServeConfig(...) or through the legacy keywords, "
-                "not both: " + ", ".join(sorted(legacy))
-            )
-        return config
-    if legacy and warn:
-        warnings.warn(
-            f"{owner}: the {', '.join(sorted(legacy))} keyword(s) are "
-            "deprecated; pass config=ServeConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    try:
-        return ServeConfig(**legacy)
-    except ValueError as error:
-        raise ReproError(str(error)) from None

@@ -14,7 +14,7 @@ a supervisor and its workers, scheduled just as deterministically:
 
 * :func:`replay_with_netfault` — the sans-IO harness: per shard, a
   supervisor-side :class:`~repro.serve.session.SessionHalf` faces a
-  worker-side half plus a live :class:`~repro.serve.cluster.
+  worker-side half plus a live :class:`~repro.serve.worker.
   _ShardSession` replica across a scripted faulty channel.  Every frame
   is round-tripped through the negotiated codec per hop, resets run the
   real resume handshake, and dropped frames are recovered by the
@@ -46,17 +46,16 @@ from typing import Any, Iterable, Mapping
 from repro.contexts.policies import Context
 from repro.errors import ReproError
 from repro.events.expressions import EventExpression
-from repro.events.parser import parse_expression
+from repro.serve.core import ClusterCore, register_frame
 from repro.serve.protocol import (
     ServeEvent,
-    detection_to_json,  # noqa: F401 - re-exported for harness consumers
     frame_to_line,
     get_codec,
     parse_frame,
 )
-from repro.serve.router import EventRouter
 from repro.serve.session import SessionHalf
 from repro.serve.transport import WorkerLink
+from repro.serve.worker import _ShardSession
 
 
 @dataclass(frozen=True, slots=True)
@@ -448,7 +447,7 @@ class _Channel:
         codec: str,
     ) -> None:
         self.shard = shard
-        self.worker = worker  # a cluster._ShardSession
+        self.worker = worker  # a worker._ShardSession
         self.plan = plan
         self.codec = codec
         self.sup = SessionHalf()
@@ -655,11 +654,12 @@ def replay_with_netfault(
     every fault; only the *network* misbehaves — so any discrepancy is
     a session-protocol defect, not a recovery one.
     """
-    from repro.serve.cluster import DetectionLedger, _ShardSession
-
     if codec not in ("jsonl", "binary"):
         raise ReproError(f"codec must be jsonl or binary, got {codec!r}")
-    router = EventRouter(shards, salt=salt)
+    # The core does what a supervisor does on its side of the links —
+    # place and bind the rules, number each shard's entries, deduplicate
+    # what comes back — with in-memory WALs; only the wire is faulty.
+    core = ClusterCore(shards, salt=salt, timer_ratio=timer_ratio)
     channels: dict[int, _Channel] = {}
     for index in range(shards):
         channels[index] = _Channel(
@@ -668,54 +668,20 @@ def replay_with_netfault(
             plan if plan is None or plan.shard in (None, index) else None,
             codec,
         )
-    by_shard: dict[int, set[str]] = {}
     for name in sorted(rules):
-        expression = rules[name]
-        index = router.assign(name)
-        parsed = (
-            parse_expression(expression)
-            if isinstance(expression, str)
-            else expression
-        )
-        by_shard.setdefault(index, set()).update(parsed.primitive_types())
-        channels[index].send(
-            {
-                "op": "register",
-                "expression": str(parsed),
-                "name": name,
-                "context": context.value,
-            }
-        )
-    router.bind(by_shard)
+        index = core.register(rules[name], name, context)
+        channels[index].send(register_frame(name, *core.rules[name]))
 
-    seqs = {index: 0 for index in range(shards)}
-    last_granule: int | None = None
     for event in events:
-        last_granule = (
-            event.granule
-            if last_granule is None
-            else max(last_granule, event.granule)
-        )
-        for index in router.route(event.event_type):
-            seqs[index] += 1
-            channels[index].send(
-                {
-                    "op": "event",
-                    "seq": seqs[index],
-                    "event": event.to_dict(),
-                }
-            )
+        for index, entry in core.log_event(event):
+            channels[index].send(entry.frame())
     drain_to = horizon if horizon is not None else (
-        last_granule + 1 if last_granule is not None else 0
+        core.last_granule + 1 if core.last_granule is not None else 0
     )
-    for index, channel in channels.items():
-        seqs[index] += 1
-        channel.send(
-            {"op": "advance", "seq": seqs[index], "granule": drain_to}
-        )
-        channel.flush()
+    for index, entry in core.log_advance(drain_to):
+        channels[index].send(entry.frame())
+        channels[index].flush()
 
-    ledger = DetectionLedger()
     report = NetFaultReport()
     for index, channel in channels.items():
         report.resumes += channel.resumes
@@ -724,7 +690,7 @@ def replay_with_netfault(
         for frame in channel.inbox:
             if frame.get("op") != "detection":
                 continue
-            if ledger.offer(index, int(frame["seq"]), int(frame["k"])):
+            if core.ledger.offer(index, int(frame["seq"]), int(frame["k"])):
                 report.rows.append(dict(frame["row"]))
-    report.duplicates_suppressed = ledger.duplicates
+    report.duplicates_suppressed = core.ledger.duplicates
     return report

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import json
 import struct
-import warnings
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -158,28 +157,6 @@ def _parse_event_text(line: str) -> ServeEvent:
 
 def _event_to_text(event: ServeEvent) -> str:
     return json.dumps(event.to_dict(), sort_keys=True)
-
-
-def parse_event_line(line: str) -> ServeEvent:
-    """Deprecated: use :meth:`JsonlCodec.decode_batch` instead."""
-    warnings.warn(
-        "parse_event_line is deprecated; use get_codec('jsonl').decode_batch "
-        "(or ServeEvent.from_dict) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _parse_event_text(line)
-
-
-def event_to_line(event: ServeEvent) -> str:
-    """Deprecated: use :meth:`JsonlCodec.encode_batch` instead."""
-    warnings.warn(
-        "event_to_line is deprecated; use get_codec('jsonl').encode_batch "
-        "(or ServeEvent.to_dict) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _event_to_text(event)
 
 
 #: Every op the cluster control channel speaks, in either direction.
@@ -302,17 +279,6 @@ def row_line(row: Mapping[str, Any]) -> str:
     from :func:`detection_to_json` to the wire, byte-identical to
     ``json.dumps(row, sort_keys=True)``."""
     return "".join(_ROW_CHUNKS(row, 0))
-
-
-def detection_to_line(shard: int, detection: Detection) -> str:
-    """Deprecated: use :func:`detection_to_json` + a codec instead."""
-    warnings.warn(
-        "detection_to_line is deprecated; use detection_to_json with "
-        "get_codec('jsonl').encode_detections instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return row_line(detection_to_json(shard, detection))
 
 
 # --- the versioned codec API -------------------------------------------------

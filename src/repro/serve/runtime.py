@@ -3,7 +3,7 @@
 :class:`ServingRuntime` is the object the CLI, the bench harness, and
 the conformance runner all drive.  Lifecycle::
 
-    runtime = ServingRuntime(shards=4, timer_ratio=10)
+    runtime = ServingRuntime(config=ServeConfig(shards=4, timer_ratio=10))
     runtime.register("buy ; sell", name="round_trip")
     async with runtime:                      # starts the shard workers
         pressured = await runtime.ingest(event)
@@ -39,9 +39,7 @@ from repro.errors import ReproError
 from repro.events.expressions import EventExpression
 from repro.events.occurrences import EventOccurrence
 from repro.obs.instrument import Instrumentation, resolve
-from repro.serve.config import UNSET as _UNSET
 from repro.serve.config import ServeConfig
-from repro.serve.config import resolve_config as _resolve_config
 from repro.serve.protocol import ServeEvent
 from repro.serve.router import EventRouter
 from repro.serve.shard import DetectionShard
@@ -50,38 +48,21 @@ from repro.serve.shard import DetectionShard
 class ServingRuntime:
     """N detection shards behind an :class:`EventRouter`.
 
-    Configure through ``config=ServeConfig(...)``; the individual
-    keyword arguments are deprecated aliases kept for one release
-    (mixing the two styles raises ``TypeError``).  The fields that
-    matter here are ``shards``, ``salt``, ``timer_ratio``, ``capacity``
-    and ``high_water`` (per shard); the transport fields
-    (``max_line_bytes``, ``codec``) are read by the servers in
-    :mod:`repro.serve.server`.
+    Configure through ``config=ServeConfig(...)`` (default: one
+    shard).  The fields that matter here are ``shards``, ``salt``,
+    ``timer_ratio``, ``capacity`` and ``high_water`` (per shard); the
+    transport fields (``max_line_bytes``, ``codec``) are read by the
+    servers in :mod:`repro.serve.server`.
     """
 
     def __init__(
         self,
-        shards: int = _UNSET,
         *,
-        salt: int = _UNSET,
-        timer_ratio: int = _UNSET,
-        capacity: int = _UNSET,
-        high_water: int | None = _UNSET,
         config: ServeConfig | None = None,
         instrumentation: Instrumentation | None = None,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("shards", shards),
-                ("salt", salt),
-                ("timer_ratio", timer_ratio),
-                ("capacity", capacity),
-                ("high_water", high_water),
-            )
-            if value is not _UNSET
-        }
-        config = _resolve_config("ServingRuntime", config, legacy)
+        if config is None:
+            config = ServeConfig()
         self.config = config
         self.router = EventRouter(config.shards, salt=config.salt)
         self.obs = resolve(instrumentation)
@@ -358,10 +339,10 @@ def serve_events(
     rules: Mapping[str, EventExpression | str] | Sequence[tuple[str, Any]],
     events: Iterable[ServeEvent],
     *,
-    shards: int = _UNSET,
-    salt: int = _UNSET,
-    timer_ratio: int = _UNSET,
-    capacity: int = _UNSET,
+    shards: int | None = None,
+    salt: int | None = None,
+    timer_ratio: int | None = None,
+    capacity: int | None = None,
     config: ServeConfig | None = None,
     context: Context = Context.UNRESTRICTED,
     horizon: int | None = None,
@@ -375,24 +356,33 @@ def serve_events(
     returns the runtime for inspection.  This is the entry point the
     conformance runner and the unit tests compare across shard counts.
 
-    ``shards``/``salt``/``timer_ratio``/``capacity`` remain as
-    *convenience* keywords (not deprecated — this wrapper exists to be
-    terse); pass ``config=ServeConfig(...)`` for anything beyond them,
-    but not both.  ``batch`` selects granule-batched ingest
+    ``shards``/``salt``/``timer_ratio``/``capacity`` are *convenience*
+    keywords (this wrapper exists to be terse) folded into a
+    :class:`ServeConfig` here; pass ``config=ServeConfig(...)`` for
+    anything beyond them, but not both (``TypeError``).  An invalid
+    keyword value raises :class:`~repro.errors.ReproError`.  ``batch``
+    selects granule-batched ingest
     (:meth:`ServingRuntime.ingest_batch` per granule run) over the
     per-event path; the detection multiset is identical either way.
     """
-    legacy = {
+    given = {
         name: value
-        for name, value in (
-            ("shards", shards),
-            ("salt", salt),
-            ("timer_ratio", timer_ratio),
-            ("capacity", capacity),
-        )
-        if value is not _UNSET
+        for name, value in dict(
+            shards=shards, salt=salt, timer_ratio=timer_ratio, capacity=capacity
+        ).items()
+        if value is not None
     }
-    config = _resolve_config("serve_events", config, legacy, warn=False)
+    if config is None:
+        try:
+            config = ServeConfig(**given)
+        except ValueError as error:
+            raise ReproError(str(error)) from None
+    elif given:
+        raise TypeError(
+            "serve_events: pass configuration either through "
+            "config=ServeConfig(...) or through the convenience keywords, "
+            "not both: " + ", ".join(sorted(given))
+        )
     runtime = ServingRuntime(config=config, instrumentation=instrumentation)
     pairs = rules.items() if isinstance(rules, Mapping) else rules
     for name, expression in pairs:

@@ -47,7 +47,7 @@ import os
 import re
 import zlib
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Any, Iterable, Mapping
 
 from repro.contexts.policies import Context
@@ -57,11 +57,8 @@ from repro.events.occurrences import EventOccurrence
 from repro.events.parser import parse_expression
 from repro.obs.instrument import Instrumentation, resolve
 from repro.serve.admin import ClusterAdmin, ClusterStatus
-from repro.serve.cluster import (
-    FaultPlan,
-    LocalFailoverCluster,
-    ShardReplica,
-)
+from repro.serve.cluster import LocalFailoverCluster
+from repro.serve.core import FaultPlan, ShardReplica
 from repro.serve.protocol import ServeEvent
 from repro.serve.wal import KIND_ADVANCE, KIND_EVENT, ShardWAL, WalEntry
 
@@ -135,20 +132,17 @@ def namespace_expression(
     detects exactly what the original would over the tenant's own
     (equally namespaced) events.
     """
-    from dataclasses import fields as dc_fields
-    from dataclasses import replace as dc_replace
-
     validate_tenant(tenant)
     if isinstance(expression, str):
         expression = parse_expression(expression)
     if isinstance(expression, Primitive):
         return Primitive(namespaced_type(tenant, expression.name))
     changes: dict[str, EventExpression] = {}
-    for spec in dc_fields(expression):
+    for spec in fields(expression):
         value = getattr(expression, spec.name)
         if isinstance(value, EventExpression):
             changes[spec.name] = namespace_expression(value, tenant)
-    return dc_replace(expression, **changes) if changes else expression
+    return replace(expression, **changes) if changes else expression
 
 
 def namespace_event(tenant: str, event: ServeEvent) -> ServeEvent:
@@ -399,7 +393,7 @@ def replay_tenant(
 
     Feeds every event with granule below the ``upto`` boundary (all of
     them when ``upto`` is None) into a fresh single replica — the same
-    :class:`~repro.serve.cluster.ShardReplica` the failover path
+    :class:`~repro.serve.core.ShardReplica` the failover path
     replays WALs through, logical timer site ``shard`` — then advances
     its clock to ``upto`` so due temporal-operator timers fire.  The
     result is the detection multiset the live cluster held at that
@@ -641,16 +635,10 @@ class MultiTenantCluster(ClusterAdmin):
                 "deferred": self._deferred.get(tenant, 0),
                 "parked": len(self._parked.get(tenant, ())),
             }
-        return ClusterStatus(
-            shards=base.shards,
-            epoch=base.epoch,
-            transport=base.transport,
-            unavailable=base.unavailable,
+        return replace(
+            base,
             parked=base.parked
             + sum(len(queue) for queue in self._parked.values()),
-            restarts=base.restarts,
-            checkpoints=base.checkpoints,
-            detections=base.detections,
             tenants=tenants,
         )
 

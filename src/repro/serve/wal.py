@@ -148,9 +148,12 @@ class ShardWAL:
         if path is not None:
             if os.path.exists(path):
                 self._load(path)
-            mode = "a" if self.codec is None else "ab"
-            kwargs = {"encoding": "utf-8"} if self.codec is None else {}
-            self._handle = open(path, mode, **kwargs)
+            self._handle = self._open_append()
+
+    def _open_append(self):
+        if self.codec is None:
+            return open(self.path, "a", encoding="utf-8")
+        return open(self.path, "ab")
 
     def _load(self, path: str) -> None:
         torn: str | None = None
@@ -210,13 +213,13 @@ class ShardWAL:
                     ) from None
         if torn is not None:
             self.torn_tails += 1
-            self._rewrite(path)
+            self._rewrite()
         if self._entries:
             self._next_seq = self._entries[-1].seq + 1
 
-    def _rewrite(self, path: str) -> None:
-        """Atomically replace the file with the intact entries only."""
-        tmp = f"{path}.tmp"
+    def _rewrite(self) -> None:
+        """Atomically replace the file with the entries held in memory."""
+        tmp = f"{self.path}.tmp"
         if self.codec is None:
             with open(tmp, "w", encoding="utf-8") as handle:
                 for entry in self._entries:
@@ -226,7 +229,7 @@ class ShardWAL:
             with open(tmp, "wb") as handle:
                 for entry in self._entries:
                     handle.write(entry.encode(self.codec))
-        os.replace(tmp, path)
+        os.replace(tmp, self.path)
 
     # --- append side -----------------------------------------------------
 
@@ -312,31 +315,30 @@ class ShardWAL:
         if not keep and self._entries:
             keep = [self._entries[-1]]
         dropped = len(self._entries) - len(keep)
+        self._entries = keep
         if dropped and self._handle is not None:
             self._handle.close()
-            tmp = f"{self.path}.tmp"
-            if self.codec is None:
-                with open(tmp, "w", encoding="utf-8") as handle:
-                    for entry in keep:
-                        handle.write(
-                            json.dumps(entry.to_dict(), sort_keys=True)
-                        )
-                        handle.write("\n")
-                os.replace(tmp, self.path)
-                self._handle = open(self.path, "a", encoding="utf-8")
-            else:
-                with open(tmp, "wb") as handle:
-                    for entry in keep:
-                        handle.write(entry.encode(self.codec))
-                os.replace(tmp, self.path)
-                self._handle = open(self.path, "ab")
-        self._entries = keep
+            self._rewrite()
+            self._handle = self._open_append()
         return dropped
 
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+    def discard(self) -> None:
+        """Close the log and remove every file it writes.
+
+        The log file and the temp file an interrupted truncation can
+        leave: a log reopened at this path starts empty.
+        """
+        self.close()
+        self._entries = []
+        if self.path is not None:
+            for path in (self.path, f"{self.path}.tmp"):
+                if os.path.exists(path):
+                    os.remove(path)
 
     def __enter__(self) -> "ShardWAL":
         return self

@@ -24,7 +24,6 @@ real hardware with synchronized clocks.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -42,15 +41,13 @@ from repro.detection.nodes import Node
 from repro.errors import SimulationError, UnknownSiteError
 from repro.events.expressions import EventExpression
 from repro.events.occurrences import EventOccurrence, History
-from repro.obs.instrument import Instrumentation, resolve
+from repro.obs.instrument import resolve
 from repro.sim.config import SimConfig
 from repro.sim.engine import SimulationEngine
-from repro.sim.network import LatencyModel, Network
+from repro.sim.network import Network
 from repro.sim.workloads import WorkloadEvent
 from repro.time.clocks import ClockEnsemble
 from repro.time.ticks import TimeModel
-
-_UNSET: Any = object()
 
 
 @dataclass(frozen=True)
@@ -96,54 +93,11 @@ class DistributedSystem:
     def __init__(
         self,
         sites: list[str],
-        model: TimeModel | None = _UNSET,
-        seed: int = _UNSET,
-        latency: LatencyModel | None = _UNSET,
-        perfect_clocks: bool = _UNSET,
-        coordinator: str | None = _UNSET,
-        loss_probability: float = _UNSET,
-        retransmit: bool = _UNSET,
-        max_retries: int = _UNSET,
-        retry_timeout: Fraction | None = _UNSET,
         *,
         config: SimConfig | None = None,
-        instrumentation: Instrumentation | None = _UNSET,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("model", model),
-                ("seed", seed),
-                ("latency", latency),
-                ("perfect_clocks", perfect_clocks),
-                ("coordinator", coordinator),
-                ("loss_probability", loss_probability),
-                ("retransmit", retransmit),
-                ("max_retries", max_retries),
-                ("retry_timeout", retry_timeout),
-                ("instrumentation", instrumentation),
-            )
-            if value is not _UNSET
-        }
-        if config is not None and legacy:
-            raise TypeError(
-                "pass configuration either through config=SimConfig(...) or "
-                "through the legacy keywords, not both: "
-                + ", ".join(sorted(legacy))
-            )
         if config is None:
-            if legacy:
-                warnings.warn(
-                    "DistributedSystem's per-setting keywords ("
-                    + ", ".join(sorted(legacy))
-                    + ") are deprecated; pass "
-                    "DistributedSystem(sites, config=SimConfig(...)) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            if legacy.get("retry_timeout") is None:
-                legacy.pop("retry_timeout", None)
-            config = SimConfig(**legacy)
+            config = SimConfig()
         self.config = config
         self.model = (
             config.model if config.model is not None else TimeModel.example_5_1()
@@ -314,22 +268,6 @@ class DistributedSystem:
             (workload_event.time, partial(self._raise, workload_event))
             for workload_event in events
         )
-
-    def raise_event(
-        self,
-        site: str,
-        event_type: str,
-        at: int | float | Fraction,
-        parameters: Mapping[str, Any] | None = None,
-    ) -> None:
-        """Deprecated alias of :meth:`inject`'s single-event form."""
-        warnings.warn(
-            "DistributedSystem.raise_event is deprecated; use "
-            "DistributedSystem.inject(site, event, at=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.inject(site, event_type, at=at, parameters=parameters)
 
     def _raise(self, event: WorkloadEvent) -> None:
         self._advance_detector_clock()

@@ -12,10 +12,7 @@ call sites read as *one* configuration value::
                        loss_probability=0.05, retransmit=True)
     system = DistributedSystem(["ny", "ldn"], config=config)
 
-Every field has the same default the legacy keyword had, so
-``SimConfig()`` reproduces ``DistributedSystem(sites)`` exactly.  The
-legacy keywords still work but emit a :class:`DeprecationWarning`; mixing
-them with ``config=`` is an error.
+``DistributedSystem(sites)`` without a config runs under ``SimConfig()``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Tests for the unified ingestion/subscription API.
 
 ``DistributedSystem.inject`` / ``Detector.feed`` are the documented
-entrypoints; ``raise_event`` / ``feed_primitive`` stay as deprecated
-aliases that must behave identically.
+entrypoints.
 """
 
 import warnings
@@ -66,14 +65,6 @@ class TestDetectorFeed:
         with pytest.raises(TypeError):
             detector.feed(occurrence, ts("s1", 1, 10))
 
-    def test_feed_primitive_warns_but_behaves(self):
-        detector = Detector()
-        detector.register("a", name="alone")
-        with pytest.warns(DeprecationWarning, match="feed_primitive"):
-            detections = detector.feed_primitive("a", ts("s1", 1, 10), {"v": 1})
-        assert len(detections) == 1
-        assert detections[0].occurrence.parameters == {"v": 1}
-
     def test_register_accepts_expression_object(self):
         detector = Detector()
         root = detector.register(parse_expression("a and b"), name="both")
@@ -91,14 +82,6 @@ class TestCoordinatorFeed:
         assert len(
             coordinator.feed(EventOccurrence.primitive("a", ts("s1", 2, 20)))
         ) == 1
-
-    def test_feed_primitive_warns_but_behaves(self):
-        coordinator = DistributedDetector(["s1"])
-        coordinator.set_home("a", "s1")
-        coordinator.register("a", name="alone")
-        with pytest.warns(DeprecationWarning, match="feed_primitive"):
-            detections = coordinator.feed_primitive("a", ts("s1", 1, 10))
-        assert len(detections) == 1
 
 
 class TestInject:
@@ -150,29 +133,6 @@ class TestInject:
         system.run()
         [record] = system.detections_of("alone")
         assert record.detection.occurrence.parameters == {"qty": 10}
-
-    def test_raise_event_warns_but_behaves(self):
-        deprecated = two_site_system()
-        deprecated.register("a ; b", name="seq")
-        with pytest.warns(DeprecationWarning, match="raise_event"):
-            deprecated.raise_event("s1", "a", at=1)
-        with pytest.warns(DeprecationWarning):
-            deprecated.raise_event("s2", "b", at=2)
-        deprecated.run()
-
-        fresh = two_site_system()
-        fresh.register("a ; b", name="seq")
-        fresh.inject("s1", "a", at=1)
-        fresh.inject("s2", "b", at=2)
-        fresh.run()
-
-        assert len(deprecated.detections_of("seq")) == len(
-            fresh.detections_of("seq")
-        ) == 1
-        old = deprecated.detections_of("seq")[0]
-        new = fresh.detections_of("seq")[0]
-        assert old.true_time == new.true_time
-        assert old.latency == new.latency
 
     def test_register_accepts_expression_object(self):
         system = two_site_system()
@@ -259,16 +219,6 @@ class TestSimConfig:
         assert plain.clocks.as_mapping() == configured.clocks.as_mapping()
         assert plain.detector.coordinator == configured.detector.coordinator
 
-    def test_legacy_keyword_warns_and_behaves(self):
-        with pytest.warns(DeprecationWarning, match="SimConfig"):
-            legacy = DistributedSystem(["s1", "s2"], seed=9)
-        modern = DistributedSystem(["s1", "s2"], config=SimConfig(seed=9))
-        assert legacy.clocks.as_mapping() == modern.clocks.as_mapping()
-
-    def test_mixing_config_and_legacy_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            DistributedSystem(["s1", "s2"], seed=1, config=SimConfig(seed=1))
-
     def test_config_is_frozen(self):
         config = SimConfig()
         with pytest.raises(Exception):
@@ -320,9 +270,3 @@ class TestRuleManagerFeed:
         occurrence = EventOccurrence.primitive("a", ts("s1", 1, 10))
         executions = manager.feed(occurrence)
         assert [e.rule for e in executions] == ["log"]
-
-    def test_raise_event_warns_but_behaves(self):
-        manager = self._manager()
-        with pytest.warns(DeprecationWarning, match="RuleManager.feed"):
-            executions = manager.raise_event("a", ts("s1", 1, 10))
-        assert [e.executed for e in executions] == [True]

@@ -38,13 +38,10 @@ from repro.serve.protocol import (
     StreamDecoder,
     choose_codec,
     detection_to_json,
-    detection_to_line,
-    event_to_line,
     frame_to_line,
     get_codec,
     hello_ack_line,
     hello_line,
-    parse_event_line,
     parse_frame,
     parse_hello,
     resolve_codec,
@@ -491,21 +488,3 @@ class TestNegotiation:
     def test_versions(self):
         assert JsonlCodec.version == 0
         assert BinaryCodec.version == BINARY_VERSION == 1
-
-
-class TestDeprecatedAliases:
-    def test_event_line_aliases_warn_but_work(self):
-        event = ServeEvent("buy", "ny", 1, 10, {"qty": 2})
-        with pytest.warns(DeprecationWarning, match="encode_batch"):
-            line = event_to_line(event)
-        with pytest.warns(DeprecationWarning, match="decode_batch"):
-            assert parse_event_line(line) == event
-
-    def test_detection_line_alias_warns(self):
-        occurrence = EventOccurrence.primitive(
-            "buy", PrimitiveTimestamp("ny", 1, 10), {}
-        )
-        detection = Detection(name="rule", occurrence=occurrence)
-        with pytest.warns(DeprecationWarning, match="detection_to_json"):
-            line = detection_to_line(0, detection)
-        assert json.loads(line)["detection"] == "rule"

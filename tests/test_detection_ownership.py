@@ -246,8 +246,8 @@ class TestSupervisorKeepsWhatNoSinkTook:
         supervisor._handle_frame(0, _Worker(None), frame)
         supervisor._handle_frame(0, _Worker(None), frame)  # a replayed duplicate
         for event in stream(24, types=("buy", "sell")):
-            supervisor._wals[0].append_event(event)
-        supervisor._rebuild_replica(0)
+            supervisor.core.wals[0].append_event(event)
+        supervisor._rebuild(0)
         return supervisor.ledger.accepted
 
     def test_without_a_sink_the_rows_are_collected(self, tmp_path):

@@ -617,25 +617,6 @@ class TestServeConfig:
 
         assert repro.ServeConfig is ServeConfig
 
-    def test_defaults_match_legacy_defaults(self):
-        plain = ServingRuntime(2, timer_ratio=10)
-        configured = ServingRuntime(
-            config=ServeConfig(shards=2, timer_ratio=10)
-        )
-        assert plain.config == configured.config
-
-    def test_legacy_keywords_warn_and_behave(self):
-        with pytest.warns(DeprecationWarning, match="ServeConfig"):
-            legacy = ServingRuntime(3, salt=7, timer_ratio=10)
-        modern = ServingRuntime(
-            config=ServeConfig(shards=3, salt=7, timer_ratio=10)
-        )
-        assert legacy.config == modern.config
-
-    def test_mixing_config_and_legacy_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            ServingRuntime(2, config=ServeConfig(shards=2))
-
     def test_config_is_frozen(self):
         config = ServeConfig()
         with pytest.raises(Exception):
@@ -650,11 +631,6 @@ class TestServeConfig:
             ServeConfig(codec="gzip")
         with pytest.raises(ValueError):
             ServeConfig(heartbeat_interval=0)
-
-    def test_invalid_legacy_value_raises_repro_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ReproError):
-                ServingRuntime(0)
 
     def test_replace_revalidates(self):
         config = ServeConfig(shards=2)

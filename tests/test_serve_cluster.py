@@ -619,8 +619,8 @@ class TestDeliverReplayOverlap:
 
             # Entries parked in the WAL before any worker exists are
             # covered by the recovery replay...
-            first = supervisor._wals[0].append_event(stream(2)[0])
-            second = supervisor._wals[0].append_event(stream(2)[1])
+            first = supervisor.core.wals[0].append_event(stream(2)[0])
+            second = supervisor.core.wals[0].append_event(stream(2)[1])
             assert await supervisor._recover(0)
             assert dispatched() == [1, 2]
             # ...so delivering them afterwards must not re-send them
@@ -629,7 +629,7 @@ class TestDeliverReplayOverlap:
             assert await supervisor._deliver(0, second) is None
             assert dispatched() == [1, 2]
             # A genuinely new entry still goes out exactly once.
-            third = supervisor._wals[0].append_event(stream(3)[2])
+            third = supervisor.core.wals[0].append_event(stream(3)[2])
             assert await supervisor._deliver(0, third) is None
             assert dispatched() == [1, 2, 3]
 

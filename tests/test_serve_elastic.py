@@ -406,11 +406,6 @@ class TestSupervisorElastic:
         assert supervisor.status().healthy
         assert supervisor_multisets(supervisor) == expected
 
-    def test_unavailable_shards_alias_warns(self, tmp_path):
-        supervisor = ClusterSupervisor(config=self.config(tmp_path))
-        with pytest.warns(DeprecationWarning, match="status"):
-            assert supervisor.unavailable_shards() == {}
-
 
 @pytest.mark.slow
 class TestTcpTransportIntegration:
