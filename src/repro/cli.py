@@ -288,37 +288,11 @@ def _serve_rules(args: argparse.Namespace) -> dict[str, str]:
     return rules
 
 
-def _load_fault_plan(text: str | None):
-    """``--fault-plan`` accepts inline JSON or a path to a JSON file."""
-    from repro.serve.cluster import FaultPlan
-
-    if not text:
-        return None
-    stripped = text.strip()
-    if not stripped.startswith("{"):
-        with open(stripped, "r", encoding="utf-8") as handle:
-            stripped = handle.read()
-    return FaultPlan.from_json(stripped)
-
-
-def _load_net_fault_plan(text: str | None):
-    """``--net-fault-plan``: inline JSON or a path to a JSON file."""
-    from repro.serve.netfault import NetFaultPlan
-
-    if not text:
-        return None
-    stripped = text.strip()
-    if not stripped.startswith("{"):
-        with open(stripped, "r", encoding="utf-8") as handle:
-            stripped = handle.read()
-    return NetFaultPlan.from_json(stripped)
-
-
-def _load_retry_policy(text: str | None):
-    """``--retry-policy``: inline JSON or a path to a JSON file."""
+def _json_flag(text: str | None, parse):
+    """The value of a flag that takes inline JSON or a path to a JSON
+    file (``--fault-plan``, ``--net-fault-plan``, ``--retry-policy``),
+    built by ``parse`` from the JSON text; ``None`` when not given."""
     import json
-
-    from repro.serve.session import RetryPolicy
 
     if not text:
         return None
@@ -327,10 +301,9 @@ def _load_retry_policy(text: str | None):
         with open(stripped, "r", encoding="utf-8") as handle:
             stripped = handle.read()
     try:
-        data = json.loads(stripped)
+        return parse(stripped)
     except json.JSONDecodeError as error:
-        raise ReproError(f"malformed --retry-policy JSON: {error}") from None
-    return RetryPolicy.from_dict(data)
+        raise ReproError(f"malformed JSON in {text!r}: {error}") from None
 
 
 def _serve_config(args: argparse.Namespace, **overrides):
@@ -341,7 +314,9 @@ def _serve_config(args: argparse.Namespace, **overrides):
     adjusts the mode-specific fields (cluster mode swaps ``shards`` for
     ``--procs`` and sets ``state_dir``).
     """
-    from repro.serve import ServeConfig
+    import json
+
+    from repro.serve import RetryPolicy, ServeConfig
 
     workers = getattr(args, "workers", None)
     if isinstance(workers, str):
@@ -361,7 +336,10 @@ def _serve_config(args: argparse.Namespace, **overrides):
         seed=args.seed,
         transport=getattr(args, "transport", "auto"),
         workers=workers,
-        retry_policy=_load_retry_policy(getattr(args, "retry_policy", None)),
+        retry_policy=_json_flag(
+            getattr(args, "retry_policy", None),
+            lambda text: RetryPolicy.from_dict(json.loads(text)),
+        ),
         session_grace=getattr(args, "session_grace", None),
         rebalance_grace=getattr(args, "rebalance_grace", None),
         tenants=getattr(args, "tenants", None),
@@ -378,7 +356,7 @@ def _cmd_serve_cluster(args: argparse.Namespace, rules: dict[str, str]) -> int:
     import asyncio
     import tempfile
 
-    from repro.serve import serve_events
+    from repro.serve import FaultPlan, NetFaultPlan, serve_events
     from repro.serve.cluster import ClusterSupervisor, cluster_serve_stdin
     from repro.sim.serving import ServingWorkload
 
@@ -389,9 +367,9 @@ def _cmd_serve_cluster(args: argparse.Namespace, rules: dict[str, str]) -> int:
 
     with tempfile.TemporaryDirectory(prefix="repro-serve-") as scratch:
         state_dir = args.state_dir or scratch
-        fault_plan = _load_fault_plan(args.fault_plan)
-        net_fault_plan = _load_net_fault_plan(
-            getattr(args, "net_fault_plan", None)
+        fault_plan = _json_flag(args.fault_plan, FaultPlan.from_json)
+        net_fault_plan = _json_flag(
+            getattr(args, "net_fault_plan", None), NetFaultPlan.from_json
         )
 
         if not args.selftest:
@@ -502,7 +480,7 @@ def _cmd_serve_tenants(args: argparse.Namespace, rules: dict[str, str]) -> int:
     """
     import tempfile
 
-    from repro.serve import TenantQuota, serve_events, serve_tenants
+    from repro.serve import FaultPlan, TenantQuota, serve_events, serve_tenants
     from repro.sim.serving import ServingWorkload
 
     if not args.selftest:
@@ -531,7 +509,7 @@ def _cmd_serve_tenants(args: argparse.Namespace, rules: dict[str, str]) -> int:
         rate=args.quota_rate if args.quota_rate is not None else 8.0,
         burst=args.quota_burst if args.quota_burst is not None else 16.0,
     )
-    fault_plan = _load_fault_plan(args.fault_plan)
+    fault_plan = _json_flag(args.fault_plan, FaultPlan.from_json)
     codec = None if args.codec == "auto" else args.codec
 
     with tempfile.TemporaryDirectory(prefix="repro-tenants-") as scratch:
@@ -847,18 +825,17 @@ def cmd_scale(args: argparse.Namespace) -> int:
     re-hashes onto each ``--steps`` worker count mid-stream (under an
     optional fault plan), over subprocess or remote TCP workers, and
     asserts the detection multiset matches the fault-free
-    single-process runtime.  Timer sites are canonicalized
-    (``shardK.timer`` -> ``shard.timer``) because the owning shard of a
-    temporal rule legitimately changes across a re-hash.
+    single-process runtime.  (Every serve detector runs at site
+    ``shard``, so a temporal rule's timer stamps do not name the shard
+    that owned it when they fired.)
     """
     import asyncio
     import json
     import os
-    import re
     import subprocess
     import tempfile
 
-    from repro.serve import ServeConfig, serve_events
+    from repro.serve import FaultPlan, ServeConfig, serve_events
     from repro.serve.cluster import ClusterSupervisor
     from repro.sim.serving import ServingWorkload
 
@@ -871,7 +848,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
     workload = ServingWorkload.standard(seed=args.seed, events=args.events)
     rules = dict(workload.rules)
     horizon = workload.horizon()
-    fault_plan = _load_fault_plan(args.fault_plan)
+    fault_plan = _json_flag(args.fault_plan, FaultPlan.from_json)
 
     baseline = serve_events(
         rules,
@@ -880,16 +857,9 @@ def cmd_scale(args: argparse.Namespace) -> int:
         horizon=horizon,
     )
 
-    timer_site = re.compile(r"shard\d+\.timer")
-
     def canonical(stamp_rows) -> list[str]:
         return sorted(
-            repr(
-                sorted(
-                    repr((timer_site.sub("shard.timer", str(s)), int(g), int(l)))
-                    for s, g, l in stamps
-                )
-            )
+            repr(sorted(repr((str(s), int(g), int(l))) for s, g, l in stamps))
             for stamps in stamp_rows
         )
 

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import json
 import random
-import re
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -401,22 +400,6 @@ def _check_continuity(
     )
 
 
-_SHARD_TIMER = re.compile(r"shard\d+\.timer")
-
-
-def _shard_multiset(runtime, name: str) -> list[str]:
-    """Timestamp multiset of one rule, timer sites canonicalized.
-
-    A temporal operator's timer stamps carry the owning shard's site
-    name (``shard3.timer``); which shard owns a rule is exactly what
-    the check varies, so the index is scrubbed before comparison.
-    """
-    return [
-        _SHARD_TIMER.sub("shard.timer", text)
-        for text in timestamps_multiset(runtime.detections_of(name))
-    ]
-
-
 def _wire_round_trip(events):
     """The stream after one pass through the binary wire codec.
 
@@ -493,7 +476,10 @@ def _check_sharding(
         )
 
     baseline = run(events, shards=1, salt=0)
-    expected = {name: _shard_multiset(baseline, name) for name in rules}
+    expected = {
+        name: timestamps_multiset(baseline.detections_of(name))
+        for name in rules
+    }
     for shards, salt in ((3, 0), (3, case.seed % 97 + 1)):
         # The sharded runs consume the binary-decoded stream, so any
         # divergence the wire encoding introduced shows up as a
@@ -501,7 +487,8 @@ def _check_sharding(
         sharded = run(wire_events, shards=shards, salt=salt)
         for name in rules:
             missing, extra = multiset_diff(
-                expected[name], _shard_multiset(sharded, name)
+                expected[name],
+                timestamps_multiset(sharded.detections_of(name)),
             )
             if missing or extra:
                 return CheckResult(
@@ -621,8 +608,8 @@ def _check_failover(
     for label, cluster in legs:
         for name in rules:
             missing, extra = multiset_diff(
-                _shard_multiset(baseline, name),
-                _shard_multiset(cluster, name),
+                timestamps_multiset(baseline.detections_of(name)),
+                timestamps_multiset(cluster.detections_of(name)),
             )
             if missing or extra:
                 return CheckResult(

@@ -92,6 +92,7 @@ from repro.serve.protocol import (
     StreamUnit,
     batch_occurrences,
     choose_codec,
+    decode_control_unit,
     detection_to_json,
     frame_to_line,
     get_codec,
@@ -99,7 +100,6 @@ from repro.serve.protocol import (
     hello_line,
     parse_frame,
     parse_hello,
-    parse_hello_tenant,
     resolve_codec,
     row_line,
 )
@@ -195,6 +195,7 @@ __all__ = [
     "batch_occurrences",
     "choose_codec",
     "cluster_serve_stdin",
+    "decode_control_unit",
     "detection_to_json",
     "frame_to_line",
     "get_codec",
@@ -208,7 +209,6 @@ __all__ = [
     "new_session_id",
     "parse_frame",
     "parse_hello",
-    "parse_hello_tenant",
     "qualified_rule",
     "replay_store",
     "replay_tenant",

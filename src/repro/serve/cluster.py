@@ -62,7 +62,7 @@ from repro.serve.protocol import (
     row_line,
 )
 from repro.serve.rebalance import ScaleReport
-from repro.serve.server import _Connection
+from repro.serve.server import _Connection, pump_units
 from repro.serve.transport import WorkerLink, resolve_transport
 from repro.serve.wal import WalEntry
 from repro.serve.worker import _WORKER_FRAME_LIMIT
@@ -430,8 +430,9 @@ class ClusterSupervisor(_CoreDriver):
     (worker count; falls back to ``shards``), ``salt``,
     ``timer_ratio``, ``state_dir`` (required), ``heartbeat_interval``,
     ``miss_threshold``, ``retry_budget``, ``checkpoint_every``,
-    ``seed``, ``codec`` (``"binary"`` stores the WALs in binary
-    frames, so failover replay consumes the wire encoding),
+    ``seed``, ``codec`` (a named codec is also the WALs' storage
+    encoding, so failover replay consumes the wire encoding — JSONL
+    lines, or binary frames; ``"auto"`` stores JSONL),
     ``transport``/``workers`` (remote TCP shard endpoints instead of
     local subprocess workers), and ``rebalance_grace`` (``None`` parks
     a shard past its retry budget until :meth:`revive`; a float
@@ -466,11 +467,10 @@ class ClusterSupervisor(_CoreDriver):
             timer_ratio=config.timer_ratio,
             checkpoint_every=config.checkpoint_every,
             fault_plan=fault_plan,
-            # "binary" stores WAL entries as version-1 frames; "jsonl"
-            # and "auto" keep the legacy text layout (compatible with
-            # existing state directories — binary is an explicit
-            # storage upgrade).
-            codec="binary" if config.codec == "binary" else None,
+            # A named codec is the WAL's storage encoding (binary is an
+            # explicit storage upgrade); "auto" names none, and the WAL
+            # keeps its default layout, JSONL.
+            codec=None if config.codec == "auto" else config.codec,
             state_dir=config.state_dir,
             instrumentation=instrumentation,
         )
@@ -1204,26 +1204,9 @@ async def cluster_serve_stdin(
                 )
         count += len(events)
 
-    splitter = connection.splitter
-    # sys.stdin (and any text wrapper over a buffer) yields its raw
-    # byte stream for frame-capable reading; a plain text stream (tests
-    # pass io.StringIO) stays line-oriented and is re-framed per line.
-    raw = getattr(source, "buffer", None)
-    byte_source = raw if raw is not None else source
-    reads_bytes = not hasattr(byte_source, "encoding")
-
     await supervisor.start()
     try:
-        if reads_bytes:
-            while chunk := await asyncio.to_thread(byte_source.read, 1 << 16):
-                for unit in splitter.feed(chunk):
-                    await handle_unit(unit)
-        else:
-            while line := await asyncio.to_thread(source.readline):
-                for unit in splitter.feed(line.encode("utf-8")):
-                    await handle_unit(unit)
-        for unit in splitter.finish():
-            await handle_unit(unit)
+        await pump_units(source, connection.splitter, handle_unit)
         last_granule = supervisor.core.last_granule
         horizon = None if last_granule is None else last_granule + horizon_pad
         await supervisor.drain(horizon)

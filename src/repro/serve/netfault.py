@@ -1,6 +1,6 @@
 """Deterministic network-fault injection for the serving cluster.
 
-:mod:`repro.serve.cluster`'s :class:`~repro.serve.cluster.FaultPlan`
+:mod:`repro.serve.core`'s :class:`~repro.serve.core.FaultPlan`
 schedules *process* faults — kills, dropped beats, corrupt checkpoints.
 This module supplies the missing axis: faults in the **network** between
 a supervisor and its workers, scheduled just as deterministically:
@@ -12,13 +12,20 @@ a supervisor and its workers, scheduled just as deterministically:
   reproducible plan from one integer, which is how the conformance
   ``netfault`` check and the fuzzer parameterize cases.
 
+* :class:`LinkFaults` — the one interpreter of a plan: per shard link
+  it counts the frames attempted in each direction and says, for each,
+  ``deliver`` / ``drop`` / ``dup`` / ``reset`` (and whether to stall).
+  Both injectors below ask it and only act on the answer.
+
 * :func:`replay_with_netfault` — the sans-IO harness: per shard, a
   supervisor-side :class:`~repro.serve.session.SessionHalf` faces a
   worker-side half plus a live :class:`~repro.serve.worker.
   _ShardSession` replica across a scripted faulty channel.  Every frame
   is round-tripped through the negotiated codec per hop, resets run the
   real resume handshake, and dropped frames are recovered by the
-  session layer's gap/rewind machinery — so the check proves the
+  session layer's gap/rewind machinery — the same
+  :meth:`~repro.serve.session.SessionHalf.accept` and the same worker
+  frame step the shipped links run — so the check proves the
   *protocol* (not the scheduler) delivers exactly-once detection under
   partitions, for both codecs, with no sockets and no clocks.
 
@@ -26,8 +33,8 @@ a supervisor and its workers, scheduled just as deterministically:
   injector for a *live* TCP cluster: wraps each
   :class:`~repro.serve.transport.TcpLink` below the session layer (via
   ``TcpTransport.link_filter``), applying the same plan to real
-  connections.  Fault state is shared per shard across reconnects, so
-  a reset consumes its schedule slot exactly once.
+  connections.  The interpreter is shared per shard across reconnects,
+  so a reset consumes its schedule slot exactly once.
 
 * :class:`TcpFaultProxy` — a real socket-level proxy with ``sever()`` /
   ``heal()`` for end-to-end partition drills (the CI chaos leg and the
@@ -47,12 +54,7 @@ from repro.contexts.policies import Context
 from repro.errors import ReproError
 from repro.events.expressions import EventExpression
 from repro.serve.core import ClusterCore, register_frame
-from repro.serve.protocol import (
-    ServeEvent,
-    frame_to_line,
-    get_codec,
-    parse_frame,
-)
+from repro.serve.protocol import ServeEvent, get_codec
 from repro.serve.session import SessionHalf
 from repro.serve.transport import WorkerLink
 from repro.serve.worker import _ShardSession
@@ -80,8 +82,8 @@ class NetFaultPlan:
     ``stalls``
         Ordinals (per direction, both directions) of frames delayed by
         ``stall_seconds`` before delivery — latency spikes.  Only the
-        live :class:`FaultyLink` sleeps; the sans-IO harness treats a
-        stall as reordering pressure and otherwise delivers.
+        live :class:`FaultyLink` sleeps; the sans-IO harness has no
+        clock and delivers.
     ``shard``
         Restrict the plan to one shard index (``None`` faults every
         link).
@@ -198,21 +200,52 @@ class NetFaultPlan:
         return cls.from_dict(data)
 
 
-class _FaultState:
-    """Mutable per-shard fault bookkeeping, shared across reconnects."""
+class LinkFaults:
+    """The one interpreter of a :class:`NetFaultPlan`, for one shard's link.
 
-    __slots__ = ("plan", "to_worker", "to_supervisor", "total")
+    Counts the frames attempted per direction and over both (the
+    ordinals of the plan, never reset by a reconnect) and answers each
+    attempt with a verdict.  ``fired`` logs every verdict that was not
+    ``deliver`` as ``(direction, ordinal, verdict)``.  A plan scoped to
+    another shard, or no plan, delivers everything.
+    """
 
-    def __init__(self, plan: NetFaultPlan) -> None:
-        self.plan = plan
-        self.to_worker = 0
-        self.to_supervisor = 0
+    def __init__(self, plan: NetFaultPlan | None, shard: int) -> None:
+        scoped = plan is not None and plan.shard in (None, shard)
+        self.plan = plan if scoped else None
+        self.ordinals = {"to_worker": 0, "to_supervisor": 0}
         self.total = 0
+        self.fired: list[tuple[str, int, str]] = []
+
+    def verdict(self, direction: str) -> tuple[str, float]:
+        """``(deliver | drop | dup | reset, stall seconds)`` for the next
+        frame attempted toward ``direction`` (``to_worker`` /
+        ``to_supervisor``).  A reset pre-empts the rest; a frame both
+        dropped and duplicated is dropped."""
+        self.ordinals[direction] += 1
+        plan = self.plan
+        if plan is None:
+            return "deliver", 0.0
+        ordinal = self.ordinals[direction]
+        self.total += 1
+        if self.total in plan.resets:
+            verdict = "reset"
+        elif ordinal in getattr(plan, f"drop_{direction}"):
+            verdict = "drop"
+        elif ordinal in getattr(plan, f"dup_{direction}"):
+            verdict = "dup"
+        else:
+            verdict = "deliver"
+        if verdict != "deliver":
+            self.fired.append((direction, ordinal, verdict))
+        stalled = verdict != "reset" and ordinal in plan.stalls
+        return verdict, plan.stall_seconds if stalled else 0.0
 
 
 class FaultyLink(WorkerLink):
     """In-path injector wrapping one live connection, below the session
-    layer — drops, duplicates, stalls, and resets per the shared plan.
+    layer — drops, duplicates, stalls, and resets as its
+    :class:`LinkFaults` says.
 
     A reset kills the underlying connection and surfaces the same
     errors a real RST would (``ConnectionResetError`` from ``send``,
@@ -220,9 +253,9 @@ class FaultyLink(WorkerLink):
     genuine reconnect path.
     """
 
-    def __init__(self, inner: WorkerLink, state: _FaultState) -> None:
+    def __init__(self, inner: WorkerLink, faults: LinkFaults) -> None:
         self.inner = inner
-        self.state = state
+        self.faults = faults
         self._pending: list[dict[str, Any]] = []
 
     @property
@@ -233,43 +266,35 @@ class FaultyLink(WorkerLink):
     def codec_name(self) -> str:
         return getattr(self.inner, "codec_name", "jsonl")
 
-    def _reset_due(self) -> bool:
-        self.state.total += 1
-        return self.state.total in self.state.plan.resets
-
     async def send(self, frame: dict[str, Any]) -> None:
-        plan = self.state.plan
-        self.state.to_worker += 1
-        ordinal = self.state.to_worker
-        if self._reset_due():
+        verdict, stall = self.faults.verdict("to_worker")
+        if verdict == "reset":
             self.inner.kill()
             raise ConnectionResetError("injected connection reset")
-        if ordinal in plan.stalls and plan.stall_seconds:
-            await asyncio.sleep(plan.stall_seconds)
-        if ordinal in plan.drop_to_worker:
+        if stall:
+            await asyncio.sleep(stall)
+        if verdict == "drop":
             return
         await self.inner.send(frame)
-        if ordinal in plan.dup_to_worker:
+        if verdict == "dup":
             await self.inner.send(frame)
 
     async def read(self) -> dict[str, Any] | None:
-        plan = self.state.plan
         if self._pending:
             return self._pending.pop(0)
         while True:
             frame = await self.inner.read()
             if frame is None:
                 return None
-            self.state.to_supervisor += 1
-            ordinal = self.state.to_supervisor
-            if self._reset_due():
+            verdict, stall = self.faults.verdict("to_supervisor")
+            if verdict == "reset":
                 self.inner.kill()
                 return None
-            if ordinal in plan.stalls and plan.stall_seconds:
-                await asyncio.sleep(plan.stall_seconds)
-            if ordinal in plan.drop_to_supervisor:
+            if stall:
+                await asyncio.sleep(stall)
+            if verdict == "drop":
                 continue
-            if ordinal in plan.dup_to_supervisor:
+            if verdict == "dup":
                 self._pending.append(dict(frame))
             return frame
 
@@ -286,23 +311,21 @@ class FaultyLink(WorkerLink):
 def install_fault_filter(transport: Any, plan: NetFaultPlan) -> None:
     """Arm ``transport`` (a TcpTransport) with in-path fault injection.
 
-    Per-shard fault state persists across reconnects, so each scheduled
-    fault fires exactly once over the link's whole history.
+    Each shard's :class:`LinkFaults` persists across reconnects, so
+    each scheduled fault fires exactly once over the link's whole
+    history.
     """
     if not hasattr(transport, "link_filter"):
         raise ReproError(
             "net-fault injection needs the tcp transport "
             f"(got {type(transport).__name__})"
         )
-    states: dict[int, _FaultState] = {}
+    faults: dict[int, LinkFaults] = {}
 
     def wrap(link: WorkerLink, shard: int) -> WorkerLink:
-        if plan.shard is not None and shard != plan.shard:
-            return link
-        state = states.get(shard)
-        if state is None:
-            state = states[shard] = _FaultState(plan)
-        return FaultyLink(link, state)
+        if shard not in faults:
+            faults[shard] = LinkFaults(plan, shard)
+        return FaultyLink(link, faults[shard])
 
     transport.link_filter = wrap
 
@@ -447,19 +470,23 @@ class _Channel:
         codec: str,
     ) -> None:
         self.shard = shard
-        self.worker = worker  # a worker._ShardSession
-        self.plan = plan
-        self.codec = codec
+        self.codec = get_codec(codec)
+        self.faults = LinkFaults(plan, shard)
         self.sup = SessionHalf()
         self.wrk = SessionHalf()
-        self.to_worker = 0
-        self.to_supervisor = 0
-        self.total = 0
         self.resumes = 0
-        self.drops = 0
-        self.dups = 0
         self.inbox: list[dict[str, Any]] = []  # supervisor-delivered frames
-        self._binary = get_codec("binary")
+        # direction -> (the half receiving there, what a delivered frame
+        # is handed to, the direction its replies travel).  The worker
+        # end is a worker._ShardSession answering through _emit.
+        self._ends = {
+            "to_worker": (
+                self.wrk,
+                lambda frame: worker.handle(frame, self._emit),
+                "to_supervisor",
+            ),
+            "to_supervisor": (self.sup, self.inbox.append, "to_worker"),
+        }
         # The wire is a FIFO, pumped one frame at a time: an endpoint
         # finishes processing a frame (including everything it emits)
         # before the next is delivered.  Recursing instead would let a
@@ -468,20 +495,11 @@ class _Channel:
         self._queue: list[tuple[str, dict[str, Any]]] = []
         self._pumping = False
 
-    def _roundtrip(self, frame: dict[str, Any]) -> dict[str, Any]:
-        if self.codec == "binary":
-            return self._binary.decode_control(
-                self._binary.encode_control(frame)
-            )
-        data = dict(frame)
-        op = data.pop("op")
-        return parse_frame(frame_to_line(op, **data))
-
     # -- supervisor-side API ------------------------------------------
 
     def send(self, frame: dict[str, Any]) -> None:
         """Supervisor sends one logical frame toward the worker."""
-        self._to_worker(self.sup.stamp(frame))
+        self._queue.append(("to_worker", self.sup.stamp(frame)))
         self._pump()
 
     def flush(self) -> None:
@@ -491,7 +509,7 @@ class _Channel:
         next reconnect; the harness ends the scripted faults and runs
         one clean resume so the last frame of a run cannot stay lost.
         """
-        self.plan = None
+        self.faults.plan = None
         guard = 0
         while self.sup.outstanding or self.wrk.outstanding:
             self._resume(settle=True)
@@ -502,6 +520,12 @@ class _Channel:
                     f"netfault flush did not converge for shard {self.shard}"
                 )
 
+    def _emit(self, op: str, **fields: Any) -> None:
+        """The worker replica's emit callback: stamp and transmit."""
+        self._queue.append(
+            ("to_supervisor", self.wrk.stamp({"op": op, **fields}))
+        )
+
     # -- the faulty wire ----------------------------------------------
 
     def _pump(self) -> None:
@@ -511,87 +535,23 @@ class _Channel:
         try:
             while self._queue:
                 direction, wire = self._queue.pop(0)
-                if direction == "to_worker":
-                    self._transmit_worker(wire)
-                else:
-                    self._transmit_supervisor(wire)
+                verdict, _stall = self.faults.verdict(direction)
+                if verdict == "reset":
+                    self._resume()
+                    continue
+                if verdict == "drop":
+                    continue
+                half, sink, back = self._ends[direction]
+                for _ in range(2 if verdict == "dup" else 1):
+                    frame = self.codec.decode_control(
+                        self.codec.encode_control(wire)
+                    )
+                    deliver, replies = half.accept(frame)
+                    self._queue.extend((back, reply) for reply in replies)
+                    if deliver:
+                        sink(frame)
         finally:
             self._pumping = False
-
-    def _fault(self, direction: str, ordinal: int) -> str:
-        plan = self.plan
-        if plan is None:
-            return "deliver"
-        self.total += 1
-        if self.total in plan.resets:
-            return "reset"
-        if ordinal in getattr(plan, f"drop_{direction}"):
-            self.drops += 1
-            return "drop"
-        if ordinal in getattr(plan, f"dup_{direction}"):
-            self.dups += 1
-            return "dup"
-        return "deliver"
-
-    def _to_worker(self, wire: dict[str, Any]) -> None:
-        self._queue.append(("to_worker", wire))
-
-    def _to_supervisor(self, wire: dict[str, Any]) -> None:
-        self._queue.append(("to_supervisor", wire))
-
-    def _transmit_worker(self, wire: dict[str, Any]) -> None:
-        self.to_worker += 1
-        verdict = self._fault("to_worker", self.to_worker)
-        if verdict == "reset":
-            self._resume()
-            return
-        if verdict == "drop":
-            return
-        for _ in range(2 if verdict == "dup" else 1):
-            self._deliver_worker(self._roundtrip(wire))
-
-    def _transmit_supervisor(self, wire: dict[str, Any]) -> None:
-        self.to_supervisor += 1
-        verdict = self._fault("to_supervisor", self.to_supervisor)
-        if verdict == "reset":
-            self._resume()
-            return
-        if verdict == "drop":
-            return
-        for _ in range(2 if verdict == "dup" else 1):
-            self._deliver_supervisor(self._roundtrip(wire))
-
-    # -- endpoint delivery --------------------------------------------
-
-    def _emit(self, op: str, **fields: Any) -> None:
-        """The worker replica's emit callback: stamp and transmit."""
-        self._to_supervisor(self.wrk.stamp({"op": op, **fields}))
-
-    def _deliver_worker(self, frame: dict[str, Any]) -> None:
-        verdict = self.wrk.receive(frame)
-        if verdict == "duplicate":
-            return
-        if verdict == "gap":
-            self._to_supervisor(self.wrk.rewind_frame())
-            return
-        if frame.get("op") == "rewind":
-            for replay in self.wrk.replay_after(int(frame["have"])):
-                self._to_supervisor(replay)
-            return
-        self.worker.handle(frame, self._emit)
-
-    def _deliver_supervisor(self, frame: dict[str, Any]) -> None:
-        verdict = self.sup.receive(frame)
-        if verdict == "duplicate":
-            return
-        if verdict == "gap":
-            self._to_worker(self.sup.rewind_frame())
-            return
-        if frame.get("op") == "rewind":
-            for replay in self.sup.replay_after(int(frame["have"])):
-                self._to_worker(replay)
-            return
-        self.inbox.append(frame)
 
     # -- the resume handshake -----------------------------------------
 
@@ -606,9 +566,9 @@ class _Channel:
             self.resumes += 1
         # hello carries the supervisor's recv_n; hello_ack the worker's.
         for wire in self.sup.replay_after(self.wrk.recv_n):
-            self._to_worker(wire)
+            self._queue.append(("to_worker", wire))
         for wire in self.wrk.replay_after(self.sup.recv_n):
-            self._to_supervisor(wire)
+            self._queue.append(("to_supervisor", wire))
 
 
 @dataclass
@@ -663,10 +623,7 @@ def replay_with_netfault(
     channels: dict[int, _Channel] = {}
     for index in range(shards):
         channels[index] = _Channel(
-            index,
-            _ShardSession(index, timer_ratio=timer_ratio),
-            plan if plan is None or plan.shard in (None, index) else None,
-            codec,
+            index, _ShardSession(index, timer_ratio=timer_ratio), plan, codec
         )
     for name in sorted(rules):
         index = core.register(rules[name], name, context)
@@ -684,9 +641,10 @@ def replay_with_netfault(
 
     report = NetFaultReport()
     for index, channel in channels.items():
+        fired = [verdict for _, _, verdict in channel.faults.fired]
         report.resumes += channel.resumes
-        report.drops += channel.drops
-        report.dups += channel.dups
+        report.drops += fired.count("drop")
+        report.dups += fired.count("dup")
         for frame in channel.inbox:
             if frame.get("op") != "detection":
                 continue

@@ -34,16 +34,19 @@ Detections travel back the same way (see :func:`detection_to_json`):
 the registered rule name, the detecting shard, and the composite
 max-set timestamp as a list of triples.
 
-The multi-process cluster (:mod:`repro.serve.cluster`) layers *control
-frames* over the JSONL transport: every line between the supervisor
-and a shard worker process is one JSON object with an ``"op"`` field.
-Supervisor -> worker ops are ``register`` / ``restore`` / ``event`` /
-``advance`` / ``checkpoint`` / ``stop``; worker -> supervisor ops are
-``beat`` / ``ack`` / ``detection`` / ``checkpoint_state`` / ``error``.
-:func:`frame_to_line` and :func:`parse_frame` are that codec; an
-unknown or malformed frame raises :class:`~repro.errors.ReproError` so
-both ends can respond with a structured ``error`` frame instead of
-dying.
+The multi-process cluster (:mod:`repro.serve.cluster`) speaks *control
+frames* between the supervisor and a shard worker: one JSON object
+with an ``"op"`` field each.  Supervisor -> worker ops are ``register``
+/ ``restore`` / ``event`` / ``advance`` / ``checkpoint`` / ``stop``;
+worker -> supervisor ops are ``beat`` / ``ack`` / ``detection`` /
+``checkpoint_state`` / ``error``.  Their bytes are the codec's
+(:meth:`Codec.encode_control` / :meth:`Codec.decode_control`: a JSONL
+line — :func:`frame_to_line` / :func:`parse_frame` are its text form —
+or a binary control frame), and :func:`decode_control_unit` reads one
+off a split stream by the unit's own framing.  Every path checks the
+op: an unknown or malformed frame raises
+:class:`~repro.errors.CodecError` so both ends can respond with a
+structured ``error`` frame instead of dying.
 """
 
 from __future__ import annotations
@@ -192,28 +195,30 @@ MAX_LINE_BYTES = 1 << 20
 FRAME_LIMIT_FACTOR = 64
 
 
+def _checked_control(payload: Mapping[str, Any]) -> Mapping[str, Any]:
+    """``payload`` if its op is one the control channel speaks."""
+    op = payload.get("op")
+    if op not in CONTROL_OPS:
+        raise CodecError(f"unknown control op {op!r}")
+    return payload
+
+
 def frame_to_line(op: str, **fields: Any) -> str:
     """Serialize one control frame as a JSONL line (no newline)."""
-    if op not in CONTROL_OPS:
-        raise ReproError(f"unknown control op {op!r}")
-    payload = {"op": op}
-    payload.update(fields)
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(_checked_control({"op": op, **fields}), sort_keys=True)
 
 
 def parse_frame(line: str) -> dict[str, Any]:
-    """Parse one control-frame line; raises ReproError on malformed input."""
+    """Parse one control-frame line; raises CodecError on malformed input."""
     try:
         data = json.loads(line)
     except json.JSONDecodeError as error:
-        raise ReproError(f"invalid JSON control frame: {error}") from None
+        raise CodecError(f"invalid JSON control frame: {error}") from None
     if not isinstance(data, dict):
-        raise ReproError(
+        raise CodecError(
             f"control frame must be a JSON object, got {type(data).__name__}"
         )
-    op = data.get("op")
-    if op not in CONTROL_OPS:
-        raise ReproError(f"unknown control op {op!r}")
+    _checked_control(data)
     return data
 
 
@@ -316,6 +321,16 @@ class Codec(ABC):
         """Decode one framed unit back into its detection rows."""
 
     @abstractmethod
+    def encode_control(self, frame: Mapping[str, Any]) -> bytes:
+        """Frame one control frame; an op outside :data:`CONTROL_OPS`
+        raises :class:`~repro.errors.CodecError`."""
+
+    @abstractmethod
+    def decode_control(self, data: bytes) -> dict[str, Any]:
+        """Decode one framed unit back into its control frame (op
+        checked)."""
+
+    @abstractmethod
     def encode_wal_entry(
         self,
         seq: int,
@@ -382,6 +397,13 @@ class JsonlCodec(Codec):
                 raise CodecError("detection line must be a JSON object")
             rows.append(row)
         return rows
+
+    def encode_control(self, frame: Mapping[str, Any]) -> bytes:
+        text = json.dumps(_checked_control(frame), sort_keys=True)
+        return (text + "\n").encode("utf-8")
+
+    def decode_control(self, data: bytes) -> dict[str, Any]:
+        return parse_frame(data.decode("utf-8", errors="replace"))
 
     def encode_wal_entry(
         self,
@@ -787,9 +809,9 @@ class BinaryCodec(Codec):
         return rows
 
     def encode_control(self, frame: Mapping[str, Any]) -> bytes:
-        if frame.get("op") not in CONTROL_OPS:
-            raise CodecError(f"unknown control op {frame.get('op')!r}")
-        return self.frame(FRAME_CONTROL, _json_bytes(dict(frame)))
+        return self.frame(
+            FRAME_CONTROL, _json_bytes(dict(_checked_control(frame)))
+        )
 
     def decode_control(self, data: bytes) -> dict[str, Any]:
         _, payload = self.unframe(data, expected_kind=FRAME_CONTROL)
@@ -886,20 +908,9 @@ def resolve_codec(codec: "str | Codec | None", default: str = "jsonl") -> Codec:
 # upgrade is opt-in.
 
 
-def hello_line(
-    codecs: Iterable[str] = CODEC_NAMES, *, tenant: str | None = None
-) -> str:
-    """The client's opening JSONL line offering its codecs, best first.
-
-    ``tenant`` optionally names the tenant namespace the connection's
-    events belong to (:mod:`repro.serve.tenancy`); servers that predate
-    the field ignore unknown hello keys, so the handshake stays
-    version 0 compatible.
-    """
-    hello: dict[str, Any] = {"codecs": list(codecs)}
-    if tenant is not None:
-        hello["tenant"] = tenant
-    return json.dumps({"hello": hello}, sort_keys=True)
+def hello_line(codecs: Iterable[str] = CODEC_NAMES) -> str:
+    """The client's opening JSONL line offering its codecs, best first."""
+    return json.dumps({"hello": {"codecs": list(codecs)}}, sort_keys=True)
 
 
 def hello_ack_line(codec: Codec) -> str:
@@ -919,17 +930,6 @@ def parse_hello(data: Mapping[str, Any]) -> list[str] | None:
     if not isinstance(codecs, (list, tuple)):
         return None
     return [str(name) for name in codecs]
-
-
-def parse_hello_tenant(data: Mapping[str, Any]) -> str | None:
-    """The tenant id a client hello scopes its stream to, if any."""
-    hello = data.get("hello")
-    if not isinstance(hello, Mapping):
-        return None
-    tenant = hello.get("tenant")
-    if isinstance(tenant, str) and tenant:
-        return tenant
-    return None
 
 
 def choose_codec(mode: str, offered: Iterable[str]) -> Codec:
@@ -969,6 +969,21 @@ class StreamUnit:
     kind: str
     payload: bytes = b""
     message: str = ""
+
+
+def unit_codec(unit: StreamUnit) -> Codec:
+    """The codec a split unit declares by its own framing: a ``frame``
+    is binary, a ``line`` JSONL — whatever the stream negotiated."""
+    return _CODECS["binary" if unit.kind == "frame" else "jsonl"]
+
+
+def decode_control_unit(unit: StreamUnit) -> dict[str, Any]:
+    """The control frame one split unit carries (op checked); an
+    ``error`` unit raises its message as a
+    :class:`~repro.errors.CodecError`."""
+    if unit.kind == "error":
+        raise CodecError(unit.message)
+    return unit_codec(unit).decode_control(unit.payload)
 
 
 class StreamDecoder:

@@ -49,7 +49,7 @@ from __future__ import annotations
 import asyncio
 import json
 import sys
-from typing import Any, Callable, IO, Iterable
+from typing import Any, Awaitable, Callable, IO, Iterable
 
 from repro.errors import CodecError, ReproError
 from repro.serve.protocol import (
@@ -204,6 +204,34 @@ class _Connection:
             return [], None, str(error)
 
 
+async def pump_units(
+    source: IO[str] | IO[bytes],
+    splitter: StreamDecoder,
+    handle_unit: Callable[[StreamUnit], Awaitable[None]],
+) -> None:
+    """Read ``source`` to EOF through ``splitter``, awaiting
+    ``handle_unit`` on every unit it completes.
+
+    ``sys.stdin`` (and any text wrapper over a raw buffer) yields bytes
+    for frame-capable reading; a plain text stream (tests pass
+    ``io.StringIO``) stays line-oriented and is re-framed per line.
+    Blocking reads happen on a thread, so the loop keeps running
+    between chunks.
+    """
+    raw = getattr(source, "buffer", source)
+    if hasattr(raw, "encoding"):
+        def read() -> bytes:
+            return source.readline().encode("utf-8")
+    else:
+        def read() -> bytes:
+            return raw.read(1 << 16)
+    while chunk := await asyncio.to_thread(read):
+        for unit in splitter.feed(chunk):
+            await handle_unit(unit)
+    for unit in splitter.finish():
+        await handle_unit(unit)
+
+
 async def serve_stdin(
     runtime: ServingRuntime,
     broadcast: DetectionBroadcast,
@@ -220,10 +248,10 @@ async def serve_stdin(
     (subject to ``codec`` — default: the runtime's configured mode; a
     ``"jsonl"`` server rejects frames with a structured error).  Output
     is always line-oriented JSONL (detection rows, hello acks, errors)
-    so ``repro serve --stdin`` composes in shell pipelines.  Blocking
-    reads happen on a thread so the shard workers keep running between
-    chunks.  After EOF the runtime drains to ``last granule +
-    horizon_pad`` and stops, flushing trailing temporal operators.
+    so ``repro serve --stdin`` composes in shell pipelines
+    (:func:`pump_units` is the read loop).  After EOF the runtime
+    drains to ``last granule + horizon_pad`` and stops, flushing
+    trailing temporal operators.
     Malformed, oversized, or corrupt input costs one structured error
     object and the loop continues.
     """
@@ -262,28 +290,9 @@ async def serve_stdin(
             granule if last_granule is None else max(last_granule, granule)
         )
 
-    # sys.stdin (and any text wrapper over a raw buffer) yields bytes
-    # for frame-capable reading; a plain text stream (tests pass
-    # io.StringIO) stays line-oriented and is re-framed per line.
-    raw = getattr(source, "buffer", None)
-    byte_source = raw if raw is not None else source
-    reads_bytes = not hasattr(byte_source, "encoding")
     try:
         async with runtime:
-            if reads_bytes:
-                while chunk := await asyncio.to_thread(
-                    byte_source.read, 1 << 16
-                ):
-                    for unit in connection.splitter.feed(chunk):
-                        await handle_unit(unit)
-            else:
-                while line := await asyncio.to_thread(source.readline):
-                    for unit in connection.splitter.feed(
-                        line.encode("utf-8")
-                    ):
-                        await handle_unit(unit)
-            for unit in connection.splitter.finish():
-                await handle_unit(unit)
+            await pump_units(source, connection.splitter, handle_unit)
             horizon = (
                 None if last_granule is None else last_granule + horizon_pad
             )

@@ -25,12 +25,16 @@ network instead of the process:
   side's ``recv`` watermark and both replay their buffers past it —
   which makes the channel exactly-once and in-order end to end, for
   both event dispatch *and* the detections flowing back.
+  :meth:`SessionHalf.accept` is that receive ladder, stated once: what
+  to hand on, and what to send back, for one inbound frame.
 
 The halves are symmetric and transport-free: the supervisor's
 :class:`~repro.serve.transport.ResumableTcpLink` and the worker
-listener in :mod:`repro.serve.cluster` each own one, and the
+listener of :mod:`repro.serve.worker` each own one, and the
 deterministic network-fault harness (:mod:`repro.serve.netfault`)
-drives a pair of them directly, with no sockets at all.
+drives a pair of them directly, with no sockets at all.  All three
+only move what :meth:`~SessionHalf.stamp` and :meth:`~SessionHalf.accept`
+return.
 """
 
 from __future__ import annotations
@@ -121,9 +125,10 @@ class SessionHalf:
     Symmetric: the supervisor and the worker each run one.  Outbound
     session frames are stamped (:meth:`stamp`) and buffered until the
     peer's ``recv`` acknowledges them; inbound frames pass through
-    :meth:`receive`, which prunes the buffer, deduplicates, and flags
-    gaps.  No clocks, no sockets — retransmission timing belongs to the
-    owner.
+    :meth:`accept`, which prunes the buffer, deduplicates, answers gaps
+    and retransmission requests, and says whether the frame is the
+    owner's to process.  No clocks, no sockets — retransmission timing
+    belongs to the owner.
     """
 
     def __init__(self) -> None:
@@ -163,9 +168,8 @@ class SessionHalf:
         """Classify one inbound frame: ``deliver``, ``duplicate``, ``gap``.
 
         Applies the piggybacked ``recv`` acknowledgement first, so even
-        a duplicate or a gapped frame prunes the outbound buffer.  On
-        ``gap`` the caller should send ``rewind_frame()`` so the peer
-        retransmits.
+        a duplicate or a gapped frame prunes the outbound buffer.
+        :meth:`accept` is what acts on the verdict.
         """
         recv = frame.get("recv")
         if recv is not None:
@@ -180,6 +184,26 @@ class SessionHalf:
             self.recv_n = n
             return "deliver"
         return "gap"
+
+    def accept(
+        self, frame: dict[str, Any]
+    ) -> tuple[bool, list[dict[str, Any]]]:
+        """The receive ladder: ``(deliver, replies)`` for one inbound frame.
+
+        ``deliver`` says the frame is new, in order and the owner's to
+        process; ``replies`` are wire-ready frames (already numbered —
+        never re-stamped) to send straight back: a ``rewind`` for a
+        gap, the buffered tail for a peer's ``rewind``.  A duplicate is
+        neither delivered nor answered.
+        """
+        verdict = self.receive(frame)
+        if verdict == "duplicate":
+            return False, []
+        if verdict == "gap":
+            return False, [self.rewind_frame()]
+        if frame.get("op") == "rewind":
+            return False, self.replay_after(int(frame["have"]))
+        return True, []
 
     def rewind_frame(self) -> dict[str, Any]:
         """The retransmission request for the current inbound watermark."""

@@ -6,9 +6,11 @@ it sends and receives the control frames of
 :mod:`repro.serve.protocol`.  This module gives that traffic a uniform
 carrier interface:
 
-* :class:`SubprocessTransport` — today's deployment shape.  Each shard
-  is a local ``repro serve-worker`` child process; frames travel as
-  JSONL over its stdin/stdout pipes, semantics unchanged.
+* :class:`SubprocessTransport` — each shard is a local ``repro
+  serve-worker`` child process; frames travel as JSONL over its
+  stdin/stdout pipes (:class:`SubprocessLink`).  A pipe loses nothing
+  while the process lives, so the pipe *is* the worker incarnation and
+  needs no session.
 
 * :class:`TcpTransport` — shards run on other machines behind
   ``repro serve-worker --listen HOST:PORT``.  Each (re)connection opens
@@ -16,17 +18,21 @@ carrier interface:
   codecs; the worker answers ``hello_ack`` and both sides switch to the
   negotiated codec (binary control frames when both speak v1).
 
-A TCP connection used to be a worker *incarnation* — any drop meant a
-full respawn.  With sessions (the default), the hello carries a session
-id and a resume watermark, the worker keeps the replica alive for a
-grace window after a disconnect, and :class:`ResumableTcpLink`
-reconnects under a :class:`~repro.serve.session.RetryPolicy` and
-resumes mid-stream: both directions replay their unacknowledged frame
-buffers (:class:`~repro.serve.session.SessionHalf`), so a severed and
+Every TCP link is a session: the hello carries a session id and a
+resume watermark, the worker keeps the replica alive for a grace window
+after a disconnect, and :class:`ResumableTcpLink` reconnects under a
+:class:`~repro.serve.session.RetryPolicy` and resumes mid-stream: both
+directions replay their unacknowledged frame buffers, so a severed and
 healed link loses nothing and duplicates nothing.  Only when the
 deadline expires, the worker already discarded the session, or the
 supervisor itself killed the link does the link report dead — at which
 point the existing respawn path (register, restore, replay) takes over.
+
+The links only carry: a frame's bytes are the codec's
+(:mod:`repro.serve.protocol`), and what a receiver does with a numbered
+frame is :meth:`~repro.serve.session.SessionHalf.accept`'s.  The two
+link classes read differently because each is measurably better on its
+own traffic: whole lines off a pipe, a split byte stream off a socket.
 
 Shard ``k`` connects to ``endpoints[k % len(endpoints)]``, so one
 listener hosts many shards and ``scale(n)`` needs no new machines.  A
@@ -39,7 +45,6 @@ machine.
 from __future__ import annotations
 
 import asyncio
-import json
 import random
 import time
 from abc import ABC, abstractmethod
@@ -47,10 +52,9 @@ from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.serve.protocol import (
-    CodecError,
     StreamDecoder,
+    decode_control_unit,
     get_codec,
-    parse_frame,
 )
 from repro.serve.session import (
     DEFAULT_SESSION_GRACE,
@@ -63,6 +67,9 @@ from repro.serve.session import (
 #: failed spawn attempt (the supervisor's retry/backoff machinery then
 #: takes over, exactly as for a subprocess that failed to start).
 CONNECT_TIMEOUT = 10.0
+
+#: The pipe link, and the hello exchange that precedes negotiation.
+_JSONL = get_codec("jsonl")
 
 
 class WorkerLink(ABC):
@@ -112,9 +119,6 @@ class WorkerTransport(ABC):
     ) -> WorkerLink:
         """Bring up one worker incarnation for ``shard``."""
 
-    def describe(self) -> str:
-        return self.name
-
 
 class SubprocessLink(WorkerLink):
     """JSONL over a supervised child process's stdin/stdout pipes."""
@@ -124,8 +128,7 @@ class SubprocessLink(WorkerLink):
         self.frames_dropped = 0
 
     async def send(self, frame: dict[str, Any]) -> None:
-        line = json.dumps(frame, sort_keys=True) + "\n"
-        self.process.stdin.write(line.encode("utf-8"))
+        self.process.stdin.write(_JSONL.encode_control(frame))
         await self.process.stdin.drain()
 
     async def read(self) -> dict[str, Any] | None:
@@ -139,11 +142,10 @@ class SubprocessLink(WorkerLink):
                 continue
             if not raw:
                 return None
-            text = raw.decode("utf-8", errors="replace").strip()
-            if not text:
+            if raw.isspace():
                 continue
             try:
-                return parse_frame(text)
+                return _JSONL.decode_control(raw)
             except ReproError:
                 continue
 
@@ -214,19 +216,14 @@ class TcpLink(WorkerLink):
         self.writer = writer
         self.codec_name = codec_name
         self.frames_dropped = 0
-        self._binary = get_codec("binary")
+        self._codec = get_codec(codec_name)
         self._decoder = StreamDecoder(
             max_line_bytes=frame_limit, max_frame_bytes=frame_limit
         )
         self._pending: list[dict[str, Any]] = []
 
     async def send(self, frame: dict[str, Any]) -> None:
-        if self.codec_name == "binary":
-            self.writer.write(self._binary.encode_control(frame))
-        else:
-            self.writer.write(
-                (json.dumps(frame, sort_keys=True) + "\n").encode("utf-8")
-            )
+        self.writer.write(self._codec.encode_control(frame))
         await self.writer.drain()
 
     async def read(self) -> dict[str, Any] | None:
@@ -240,21 +237,10 @@ class TcpLink(WorkerLink):
             if not chunk:
                 return None
             for unit in self._decoder.feed(chunk):
-                frame = self._decode_unit(unit)
-                if frame is not None:
-                    self._pending.append(frame)
-
-    def _decode_unit(self, unit: Any) -> dict[str, Any] | None:
-        if unit.kind == "error":
-            self.frames_dropped += 1
-            return None
-        try:
-            if unit.kind == "frame":
-                return self._binary.decode_control(bytes(unit.payload))
-            return parse_frame(unit.payload.decode("utf-8", errors="replace"))
-        except (CodecError, ReproError):
-            self.frames_dropped += 1
-            return None
+                try:
+                    self._pending.append(decode_control_unit(unit))
+                except ReproError:  # oversized, corrupt or unknown op
+                    self.frames_dropped += 1
 
     def kill(self) -> None:
         transport = self.writer.transport
@@ -294,9 +280,7 @@ class TcpTransport(WorkerTransport):
         codec: str = "auto",
         retry_policy: RetryPolicy | None = None,
         session_grace: float | None = None,
-        resume: bool = True,
         seed: int = 0,
-        link_filter: "Callable[[WorkerLink, int], WorkerLink] | None" = None,
     ) -> None:
         if not endpoints:
             raise ReproError("TcpTransport needs at least one endpoint")
@@ -306,13 +290,10 @@ class TcpTransport(WorkerTransport):
         self.session_grace = (
             session_grace if session_grace is not None else DEFAULT_SESSION_GRACE
         )
-        self.resume = resume
         self.seed = seed
         #: Optional in-path fault injector: wraps every raw connection
         #: *below* the session layer (repro.serve.netfault sets this).
-        self.link_filter = link_filter
-        self.connects = 0
-        self.endpoint_failures = 0
+        self.link_filter: Callable[[WorkerLink, int], WorkerLink] | None = None
 
     @staticmethod
     def _split(endpoint: str) -> tuple[str, int]:
@@ -329,22 +310,22 @@ class TcpTransport(WorkerTransport):
         heartbeat_interval: float,
         frame_limit: int,
     ) -> WorkerLink:
-        if not self.resume:
-            link, _ack = await self.open_link(
-                shard,
-                timer_ratio=timer_ratio,
-                heartbeat_interval=heartbeat_interval,
-                frame_limit=frame_limit,
-            )
-            return link
         link = ResumableTcpLink(
             self,
             shard,
-            timer_ratio=timer_ratio,
-            heartbeat_interval=heartbeat_interval,
+            hello={
+                "op": "hello",
+                "shard": shard,
+                "codecs": (
+                    ["jsonl"] if self.codec == "jsonl" else ["binary", "jsonl"]
+                ),
+                "timer_ratio": timer_ratio,
+                "heartbeat_interval": heartbeat_interval,
+                "session": new_session_id(),
+                "session_grace": self.session_grace,
+            },
             frame_limit=frame_limit,
             policy=self.retry_policy,
-            session_grace=self.session_grace,
             rng=random.Random(self.seed * 1_000_003 + shard),
         )
         await link.establish()
@@ -353,14 +334,14 @@ class TcpTransport(WorkerTransport):
     async def open_link(
         self,
         shard: int,
+        hello: dict[str, Any],
         *,
-        timer_ratio: int,
-        heartbeat_interval: float,
         frame_limit: int,
-        hello_extra: dict[str, Any] | None = None,
         timeout: float | None = None,
     ) -> tuple[WorkerLink, dict[str, Any]]:
-        """One connection attempt round-robin over the endpoints.
+        """One connection attempt round-robin over the endpoints,
+        opened with ``hello`` (a session's — the worker refuses any
+        other); returns the link and the worker's ``hello_ack``.
 
         Bounded per endpoint by ``timeout`` (default
         :data:`CONNECT_TIMEOUT`); a total failure raises a
@@ -378,23 +359,13 @@ class TcpTransport(WorkerTransport):
             host, port = self._split(endpoint)
             try:
                 link, ack = await asyncio.wait_for(
-                    self._handshake(
-                        host,
-                        port,
-                        shard,
-                        timer_ratio=timer_ratio,
-                        heartbeat_interval=heartbeat_interval,
-                        frame_limit=frame_limit,
-                        hello_extra=hello_extra,
-                    ),
+                    self._handshake(host, port, hello, frame_limit),
                     timeout=timeout if timeout is not None else CONNECT_TIMEOUT,
                 )
             except asyncio.TimeoutError:
                 failures.append(f"{endpoint} (connect timed out)")
-                self.endpoint_failures += 1
             except (OSError, ConnectionError, ReproError) as error:
                 failures.append(f"{endpoint} ({error})")
-                self.endpoint_failures += 1
             else:
                 if self.link_filter is not None:
                     link = self.link_filter(link, shard)
@@ -405,31 +376,10 @@ class TcpTransport(WorkerTransport):
         )
 
     async def _handshake(
-        self,
-        host: str,
-        port: int,
-        shard: int,
-        *,
-        timer_ratio: int,
-        heartbeat_interval: float,
-        frame_limit: int,
-        hello_extra: dict[str, Any] | None = None,
+        self, host: str, port: int, hello: dict[str, Any], frame_limit: int
     ) -> tuple[TcpLink, dict[str, Any]]:
         reader, writer = await asyncio.open_connection(host, port)
-        offered = (
-            ["jsonl"] if self.codec == "jsonl" else ["binary", "jsonl"]
-        )
-        hello = {
-            "op": "hello",
-            "shard": shard,
-            "codecs": offered,
-            "timer_ratio": timer_ratio,
-            "heartbeat_interval": heartbeat_interval,
-            "t": time.monotonic(),
-        }
-        if hello_extra:
-            hello.update(hello_extra)
-        writer.write((json.dumps(hello, sort_keys=True) + "\n").encode("utf-8"))
+        writer.write(_JSONL.encode_control({**hello, "t": time.monotonic()}))
         await writer.drain()
         # The ack is always a JSONL line, so a v0-only worker can answer.
         raw = await reader.readline()
@@ -438,7 +388,7 @@ class TcpTransport(WorkerTransport):
             raise ReproError(
                 f"worker at {host}:{port} closed during hello handshake"
             )
-        ack = parse_frame(raw.decode("utf-8", errors="replace").strip())
+        ack = _JSONL.decode_control(raw)
         if ack.get("op") != "hello_ack":
             writer.close()
             raise ReproError(
@@ -446,13 +396,12 @@ class TcpTransport(WorkerTransport):
                 f"{ack.get('op')!r}, expected hello_ack"
             )
         codec_name = str(ack.get("codec", "jsonl"))
-        if codec_name not in offered:
+        if codec_name not in hello["codecs"]:
             writer.close()
             raise ReproError(
                 f"worker at {host}:{port} chose unoffered codec "
                 f"{codec_name!r}"
             )
-        self.connects += 1
         return TcpLink(reader, writer, codec_name, frame_limit), ack
 
 
@@ -486,23 +435,20 @@ class ResumableTcpLink(WorkerLink):
         transport: TcpTransport,
         shard: int,
         *,
-        timer_ratio: int,
-        heartbeat_interval: float,
+        hello: dict[str, Any],
         frame_limit: int,
         policy: RetryPolicy,
-        session_grace: float,
         rng: random.Random,
     ) -> None:
         self.transport = transport
         self.shard = shard
-        self.timer_ratio = timer_ratio
-        self.heartbeat_interval = heartbeat_interval
+        #: What every connection of this session opens with (the
+        #: session id included); a resume adds its watermark.
+        self.hello = hello
         self.frame_limit = frame_limit
         self.policy = policy
-        self.session_grace = session_grace
         self.rng = rng
         self.session = SessionHalf()
-        self.session_id = new_session_id()
         self.on_resume: Callable[[], None] | None = None
         self.resumes = 0
         self.frames_dropped = 0
@@ -522,14 +468,7 @@ class ResumableTcpLink(WorkerLink):
     async def establish(self) -> None:
         """Open the first connection and register the session id."""
         self._inner, _ack = await self.transport.open_link(
-            self.shard,
-            timer_ratio=self.timer_ratio,
-            heartbeat_interval=self.heartbeat_interval,
-            frame_limit=self.frame_limit,
-            hello_extra={
-                "session": self.session_id,
-                "session_grace": self.session_grace,
-            },
+            self.shard, self.hello, frame_limit=self.frame_limit
         )
         self._inner_dropped = 0
 
@@ -537,15 +476,8 @@ class ResumableTcpLink(WorkerLink):
         """One reconnect + resume attempt (no retries, no timeout)."""
         link, ack = await self.transport.open_link(
             self.shard,
-            timer_ratio=self.timer_ratio,
-            heartbeat_interval=self.heartbeat_interval,
+            {**self.hello, "resume": True, "recv": self.session.recv_n},
             frame_limit=self.frame_limit,
-            hello_extra={
-                "session": self.session_id,
-                "session_grace": self.session_grace,
-                "resume": True,
-                "recv": self.session.recv_n,
-            },
             timeout=self.policy.attempt_timeout,
         )
         if not ack.get("resumed"):
@@ -635,23 +567,14 @@ class ResumableTcpLink(WorkerLink):
                 if not await self._reconnect(generation):
                     return None
                 continue
-            verdict = self.session.receive(frame)
-            if verdict == "duplicate":
-                continue
-            if verdict == "gap":
-                try:
-                    await link.send(self.session.rewind_frame())
-                except (OSError, ConnectionError):
-                    pass  # the reconnect path will replay instead
-                continue
-            if frame.get("op") == "rewind":
-                for replay in self.session.replay_after(int(frame["have"])):
-                    try:
-                        await link.send(replay)
-                    except (OSError, ConnectionError):
-                        break
-                continue
-            return frame
+            deliver, replies = self.session.accept(frame)
+            try:
+                for reply in replies:
+                    await link.send(reply)
+            except (OSError, ConnectionError):
+                pass  # the reconnect path will replay instead
+            if deliver:
+                return frame
 
     def kill(self) -> None:
         self._closed = True

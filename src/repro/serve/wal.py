@@ -22,12 +22,16 @@ Entries come in two kinds:
     timer firings too — a timer detection is as much shard state as an
     event-driven one.
 
-A :class:`ShardWAL` may be file-backed (one JSONL file per shard, the
-mode the cluster supervisor uses — durable across *process* crashes;
+A :class:`ShardWAL` may be file-backed (one file per shard, the mode
+the cluster supervisor uses — durable across *process* crashes;
 appends are flushed, not fsynced, so an OS crash or power loss may lose
 the newest entries) or purely in-memory (the mode the in-process
 failover harness, the conformance ``failover`` check, and the benches
-use — same replay semantics, no disk).  Truncation drops entries at or
+use — same replay semantics, no disk).  A file has one layout per
+codec — JSONL lines or binary frames, :meth:`~repro.serve.protocol.
+Codec.encode_wal_entry` — and is read back through the stream splitter
+by each unit's own framing, with no bound on a unit but the file's
+size: whatever this log appended, it can reload.  Truncation drops entries at or
 below a sequence number once a *previous-generation* checkpoint covers
 them; the supervisor deliberately retains one checkpoint generation of
 slack so a corrupted latest checkpoint can still fall back to the
@@ -40,7 +44,6 @@ replay).
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Any, Iterator
@@ -50,8 +53,8 @@ from repro.serve.protocol import (
     Codec,
     ServeEvent,
     StreamDecoder,
-    get_codec,
     resolve_codec,
+    unit_codec,
 )
 
 KIND_EVENT = "event"
@@ -115,20 +118,21 @@ class ShardWAL:
     """Append-only sequence-numbered log of one shard's inputs.
 
     ``path=None`` keeps the log purely in memory (in-process harness);
-    with a path, every append is flushed to a JSONL file before the
-    entry is considered logged, and an existing file is loaded on open —
-    so a restarted *supervisor* recovers parked and unreplayed events,
-    not just a restarted worker.  Durability is scoped to process
-    crashes: appends are flushed to the OS but not fsynced, so an OS
-    crash or power loss may lose the newest entries.
+    with a path, every append is flushed to the file before the entry
+    is considered logged, and an existing file is loaded on open — so a
+    restarted *supervisor* recovers parked and unreplayed events, not
+    just a restarted worker.  Durability is scoped to process crashes:
+    appends are flushed to the OS but not fsynced, so an OS crash or
+    power loss may lose the newest entries.
 
     ``codec`` selects the storage encoding (a name or
-    :class:`~repro.serve.protocol.Codec`; ``None`` keeps the legacy
-    JSONL text layout byte-for-byte).  With a codec, every append is
-    round-tripped — encoded *and decoded back* before it lands in the
-    replay list — so failover replay exercises the negotiated wire
-    encoding rather than the in-memory objects, and a file is loaded
-    through the stream splitter, which also means a binary WAL whose
+    :class:`~repro.serve.protocol.Codec`); a named codec also
+    round-trips every append — encoded *and decoded back* before it
+    lands in the replay list — so failover replay exercises the
+    negotiated wire encoding rather than the in-memory objects.
+    ``None`` means exactly "do not re-materialise": the entry is kept
+    as the object it is, and a file is written in the JSONL layout.  A
+    file is loaded through the stream splitter, so a binary WAL whose
     history began as JSONL (or vice versa, after a codec upgrade) still
     loads: each unit declares its own framing.
     """
@@ -137,7 +141,8 @@ class ShardWAL:
         self, path: str | None = None, *, codec: str | Codec | None = None
     ) -> None:
         self.path = path
-        self.codec = resolve_codec(codec) if codec is not None else None
+        self.codec = resolve_codec(codec)
+        self._round_trip = codec is not None
         self._entries: list[WalEntry] = []
         self._next_seq = 1
         self._handle = None
@@ -148,69 +153,38 @@ class ShardWAL:
         if path is not None:
             if os.path.exists(path):
                 self._load(path)
-            self._handle = self._open_append()
-
-    def _open_append(self):
-        if self.codec is None:
-            return open(self.path, "a", encoding="utf-8")
-        return open(self.path, "ab")
+            self._handle = open(path, "ab")
 
     def _load(self, path: str) -> None:
         torn: str | None = None
-        if self.codec is None:
-            with open(path, "r", encoding="utf-8") as handle:
-                lines = [
-                    line.strip() for line in handle.read().splitlines()
-                ]
-            lines = [line for line in lines if line]
-            for position, line in enumerate(lines):
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError as error:
-                    if position == len(lines) - 1:
-                        # A crash mid-append leaves a partial final
-                        # line; everything before it is intact.
-                        torn = str(error)
-                        break
-                    raise ReproError(
-                        f"corrupt WAL file {path!r}: {error}"
-                    ) from None
-                self._entries.append(WalEntry.from_dict(data))
-        else:
-            splitter = StreamDecoder()
-            units = []
-            with open(path, "rb") as handle:
-                while chunk := handle.read(1 << 16):
-                    units.extend(splitter.feed(chunk))
-            units.extend(splitter.finish())
-            for position, unit in enumerate(units):
-                final = position == len(units) - 1
+        # The ingest bounds guard against hostile peers; this file is
+        # our own.  An event the server accepted can re-serialise past
+        # the line that carried it in (the entry wrapper, sorted keys,
+        # ASCII escapes), so the only bound on a unit is the file's size.
+        size = os.path.getsize(path)
+        splitter = StreamDecoder(max_line_bytes=size, max_frame_bytes=size)
+        units = []
+        with open(path, "rb") as handle:
+            while chunk := handle.read(1 << 16):
+                units.extend(splitter.feed(chunk))
+        units.extend(splitter.finish())
+        for position, unit in enumerate(units):
+            try:
                 if unit.kind == "error":
-                    # Only the stream's very tail may legitimately be
-                    # incomplete (a crash mid-append); an error earlier
-                    # in the file is real corruption.
-                    if final:
-                        torn = unit.message
-                        break
-                    raise ReproError(
-                        f"corrupt WAL file {path!r}: {unit.message}"
-                    )
-                by_framing = (
-                    get_codec("binary")
-                    if unit.kind == "frame"
-                    else get_codec("jsonl")
+                    raise CodecError(unit.message)
+                self._entries.append(
+                    WalEntry.decode(unit_codec(unit), unit.payload)
                 )
-                try:
-                    self._entries.append(
-                        WalEntry.decode(by_framing, unit.payload)
-                    )
-                except CodecError as error:
-                    if final:
-                        torn = str(error)
-                        break
-                    raise ReproError(
-                        f"corrupt WAL file {path!r}: {error}"
-                    ) from None
+            except CodecError as error:
+                # Only the stream's very tail may legitimately be
+                # incomplete (a crash mid-append); an error earlier in
+                # the file is real corruption.
+                if position == len(units) - 1:
+                    torn = str(error)
+                    break
+                raise ReproError(
+                    f"corrupt WAL file {path!r}: {error}"
+                ) from None
         if torn is not None:
             self.torn_tails += 1
             self._rewrite()
@@ -220,15 +194,9 @@ class ShardWAL:
     def _rewrite(self) -> None:
         """Atomically replace the file with the entries held in memory."""
         tmp = f"{self.path}.tmp"
-        if self.codec is None:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                for entry in self._entries:
-                    handle.write(json.dumps(entry.to_dict(), sort_keys=True))
-                    handle.write("\n")
-        else:
-            with open(tmp, "wb") as handle:
-                for entry in self._entries:
-                    handle.write(entry.encode(self.codec))
+        with open(tmp, "wb") as handle:
+            for entry in self._entries:
+                handle.write(entry.encode(self.codec))
         os.replace(tmp, self.path)
 
     # --- append side -----------------------------------------------------
@@ -256,22 +224,18 @@ class ShardWAL:
         self._next_seq = max(self._next_seq, after_seq + 1)
 
     def _append(self, entry: WalEntry) -> WalEntry:
-        if self.codec is not None:
+        durable = self._handle is not None
+        if durable or self._round_trip:
+            blob = entry.encode(self.codec)
+        if self._round_trip:
             # Store what the codec would put on the wire: the entry is
             # re-materialized from its own encoding, so replay consumes
             # the negotiated format, not the object that produced it.
-            blob = entry.encode(self.codec)
             entry = WalEntry.decode(self.codec, blob)
-        else:
-            blob = None
         self._entries.append(entry)
         self._next_seq = entry.seq + 1
-        if self._handle is not None:
-            if blob is None:
-                self._handle.write(json.dumps(entry.to_dict(), sort_keys=True))
-                self._handle.write("\n")
-            else:
-                self._handle.write(blob)
+        if durable:
+            self._handle.write(blob)
             self._handle.flush()
         return entry
 
@@ -319,7 +283,7 @@ class ShardWAL:
         if dropped and self._handle is not None:
             self._handle.close()
             self._rewrite()
-            self._handle = self._open_append()
+            self._handle = open(self.path, "ab")
         return dropped
 
     def close(self) -> None:

@@ -3,21 +3,25 @@
 A worker is one :class:`~repro.serve.core.ShardReplica` driven by the
 control frames of :mod:`repro.serve.protocol` and knows nothing of the
 supervisor feeding it — no router, no WAL, no ledger.
-:class:`_ShardSession` is the transport-independent half (one frame in,
-its responses out; the sans-IO partition harness drives it directly),
-:func:`run_worker` wraps it behind stdin/stdout pipes (``repro
-serve-worker --shard K``) and :func:`serve_worker_listener` behind TCP
-connections with codec negotiation and resumable sessions (``repro
-serve-worker --listen HOST:PORT``).  What the frames *mean* is decided
-by :class:`~repro.serve.core.ClusterCore` and carried here by
+:class:`_ShardSession` is the worker frame step (one inbound frame →
+its responses, a failing frame answered with one ``error`` frame), and
+it has three hosts that only carry frames to and from it:
+:func:`run_worker` behind stdin/stdout pipes (``repro serve-worker
+--shard K``), :func:`serve_worker_listener` behind TCP connections with
+codec negotiation — every one of them a resumable session, its receive
+ladder :meth:`~repro.serve.session.SessionHalf.accept` (``repro
+serve-worker --listen HOST:PORT``) — and the sans-IO partition harness
+of :mod:`repro.serve.netfault`.  Frame bytes are the codec's in all
+three.  What the frames *mean* is decided by
+:class:`~repro.serve.core.ClusterCore` and carried here by
 :class:`~repro.serve.cluster.ClusterSupervisor`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
-import json
 import os
 import sys
 import time
@@ -28,12 +32,12 @@ from repro.errors import ReproError
 from repro.serve.core import ShardReplica
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
+    Codec,
     StreamDecoder,
     choose_codec,
+    decode_control_unit,
     detection_to_json,
-    frame_to_line,
     get_codec,
-    parse_frame,
 )
 from repro.serve.session import DEFAULT_SESSION_GRACE, SessionHalf
 from repro.serve.wal import WalEntry
@@ -49,66 +53,83 @@ discarded by the stream reader and counted in
 :attr:`~repro.serve.cluster.ClusterSupervisor.frames_dropped`.
 """
 
+#: The pipe worker's framing, and the hello exchange of the listener.
+_JSONL = get_codec("jsonl")
+
 
 class _ShardSession:
     """One worker incarnation: a replica driven by inbound control frames.
 
-    The transport-independent half of the worker: :func:`run_worker`
-    wraps it behind stdin/stdout pipes, :func:`serve_worker_listener`
-    behind a TCP connection.  ``handle`` processes one frame and emits
-    responses through the supplied callable; it returns False when the
-    session should end (a ``stop`` frame).
+    The worker frame step, the same under every host: :meth:`handle`
+    processes one frame and emits its responses through the supplied
+    callable; it returns False when the session should end (a ``stop``
+    frame).  A frame that fails — a rule that does not parse, a
+    ``restore`` for another shard, an op that is not inbound — costs
+    one structured ``error`` frame and the session survives: the
+    supervisor decides whether to kill.
     """
 
     def __init__(self, shard: int, *, timer_ratio: int = 1) -> None:
         self.shard = shard
         self.replica = ShardReplica(shard, timer_ratio=timer_ratio)
 
+    def beat(self) -> dict[str, Any]:
+        """The fields of a liveness beat: the applied watermark, and the
+        send-time clock that lets the supervisor's monitor separate
+        transport latency from silence."""
+        return {"seq": self.replica.applied_seq, "t": time.monotonic()}
+
     def handle(
         self, frame: dict[str, Any], emit: Callable[..., None]
     ) -> bool:
         replica = self.replica
         op = frame["op"]
-        if op == "register":
-            replica.register(
-                str(frame["expression"]),
-                name=str(frame["name"]),
-                context=Context(frame.get("context", "unrestricted")),
-            )
-        elif op == "restore":
-            replica.restore(frame["state"])
-            emit("ack", seq=replica.applied_seq)
-        elif op in ("event", "advance"):
-            entry = WalEntry.from_dict(
-                {
-                    "seq": frame["seq"],
-                    "kind": frame["op"],
-                    "event": frame.get("event"),
-                    "granule": frame.get("granule"),
-                }
-            )
-            for tagged in replica.apply(entry):
-                emit(
-                    "detection",
-                    seq=tagged.seq,
-                    k=tagged.k,
-                    row=detection_to_json(self.shard, tagged.detection),
+        try:
+            if op == "register":
+                replica.register(
+                    str(frame["expression"]),
+                    name=str(frame["name"]),
+                    context=Context(frame.get("context", "unrestricted")),
                 )
-            emit("ack", seq=entry.seq)
-        elif op in ("checkpoint", "handoff"):
-            # A handoff is the state migration of scale(): a checkpoint,
-            # but tagged so the supervisor resolves its pending handoff
-            # instead of (only) persisting a routine checkpoint.
-            emit(
-                "checkpoint_state",
-                seq=replica.applied_seq,
-                state=replica.snapshot(),
-                **({"handoff": True} if op == "handoff" else {}),
-            )
-        elif op == "stop":
-            return False
-        else:  # an op valid on the wire but not inbound (beat/ack/...)
-            emit("error", message=f"unexpected inbound op {op!r}")
+            elif op == "restore":
+                replica.restore(frame["state"])
+                emit("ack", seq=replica.applied_seq)
+            elif op in ("event", "advance"):
+                entry = WalEntry.from_dict(
+                    {
+                        "seq": frame["seq"],
+                        "kind": frame["op"],
+                        "event": frame.get("event"),
+                        "granule": frame.get("granule"),
+                    }
+                )
+                for tagged in replica.apply(entry):
+                    emit(
+                        "detection",
+                        seq=tagged.seq,
+                        k=tagged.k,
+                        row=detection_to_json(self.shard, tagged.detection),
+                    )
+                emit("ack", seq=entry.seq)
+            elif op in ("checkpoint", "handoff"):
+                # A handoff is the state migration of scale(): a
+                # checkpoint, but tagged so the supervisor resolves its
+                # pending handoff instead of (only) persisting a routine
+                # checkpoint.
+                emit(
+                    "checkpoint_state",
+                    seq=replica.applied_seq,
+                    state=replica.snapshot(),
+                    **({"handoff": True} if op == "handoff" else {}),
+                )
+            elif op == "stop":
+                return False
+            else:  # an op valid on the wire but not inbound (beat/ack/...)
+                emit("error", message=f"unexpected inbound op {op!r}")
+        except ReproError as error:
+            emit("error", message=str(error))
+        except Exception as error:  # noqa: BLE001 - keep the host's loop alive
+            emit("error", message=f"{type(error).__name__}: {error}")
         return True
 
 
@@ -133,18 +154,13 @@ def run_worker(
     import select as select_mod
 
     session = _ShardSession(shard, timer_ratio=timer_ratio)
-    replica = session.replica
     out = out_stream if out_stream is not None else sys.stdout
 
     def emit(op: str, **fields: Any) -> None:
-        # Beats carry the worker's send-time clock so the supervisor's
-        # liveness monitor can separate transport latency from silence.
-        if op == "beat":
-            fields.setdefault("t", time.monotonic())
-        out.write(frame_to_line(op, **fields) + "\n")
+        out.write(_JSONL.encode_control({"op": op, **fields}).decode("utf-8"))
         out.flush()
 
-    emit("beat", seq=0)
+    emit("beat", **session.beat())
     source = in_stream if in_stream is not None else sys.stdin.buffer
     try:
         fd = source.fileno()  # io.UnsupportedOperation subclasses OSError
@@ -159,7 +175,7 @@ def run_worker(
             if fd is not None:
                 ready, _, _ = select_mod.select([fd], [], [], heartbeat_interval)
                 if not ready:
-                    emit("beat", seq=replica.applied_seq)
+                    emit("beat", **session.beat())
                     last_beat = time.monotonic()
                     continue
                 chunk = os.read(fd, 1 << 16)
@@ -170,22 +186,16 @@ def run_worker(
             buffer += chunk
             continue
         line, buffer = buffer[:newline], buffer[newline + 1 :]
-        text = line.decode("utf-8", errors="replace").strip()
-        if not text:
+        if not line or line.isspace():
             continue
         try:
-            frame = parse_frame(text)
+            frame = _JSONL.decode_control(line)
         except ReproError as error:
             emit("error", message=str(error))
             continue
-        try:
-            running = session.handle(frame, emit)
-        except ReproError as error:
-            emit("error", message=str(error))
-        except Exception as error:  # noqa: BLE001 - keep the loop alive
-            emit("error", message=f"{type(error).__name__}: {error}")
+        running = session.handle(frame, emit)
         if time.monotonic() - last_beat >= heartbeat_interval:
-            emit("beat", seq=replica.applied_seq)
+            emit("beat", **session.beat())
             last_beat = time.monotonic()
     return 0
 
@@ -199,16 +209,24 @@ class _HeldSession:
     window), within which a resume ``hello`` re-attaches it.
     """
 
-    __slots__ = ("session", "half", "owner", "expires_at", "grace")
+    __slots__ = ("sid", "session", "half", "owner", "expires_at", "grace")
 
-    def __init__(
-        self, session: _ShardSession, grace: float
-    ) -> None:
+    def __init__(self, sid: str, session: _ShardSession, grace: float) -> None:
+        self.sid = sid
         self.session = session
         self.half = SessionHalf()
         self.owner: int | None = None
         self.expires_at: float | None = None
         self.grace = grace
+
+
+class _Refused(Exception):
+    """A hello this listener will not serve; ``frame`` is the one JSONL
+    answer the connection gets before it is closed."""
+
+    def __init__(self, op: str, **fields: Any) -> None:
+        super().__init__(op)
+        self.frame = {"op": op, **fields}
 
 
 async def serve_worker_listener(
@@ -224,15 +242,14 @@ async def serve_worker_listener(
     """A TCP worker host: ``repro serve-worker --listen HOST:PORT``.
 
     Each accepted connection opens with a JSONL ``hello`` naming the
-    shard index and offering codecs (plus ``timer_ratio``/
-    ``heartbeat_interval`` overrides), answered by a JSONL
-    ``hello_ack`` naming the codec this listener chose — after which
-    both directions speak the negotiated codec.  The connection then
-    runs the exact :class:`_ShardSession` loop the subprocess worker
-    runs, with periodic beats.
+    shard index, a ``session`` id and the codecs on offer (plus
+    ``timer_ratio``/``heartbeat_interval`` overrides), answered by a
+    JSONL ``hello_ack`` naming the codec this listener chose — after
+    which both directions speak the negotiated codec.  The connection
+    then runs the exact :class:`_ShardSession` frame step the
+    subprocess worker runs, with periodic beats.
 
-    A hello that carries a ``session`` id makes the incarnation
-    *resumable*: frames run through a
+    Every connection is a *resumable* session: frames run through a
     :class:`~repro.serve.session.SessionHalf` ledger, and when the
     connection drops the replica is held for a grace window
     (``session_grace``, overridable per hello) instead of being
@@ -240,9 +257,11 @@ async def serve_worker_listener(
     re-attaches the live replica — the ``hello_ack`` answers
     ``resumed: true`` plus the worker's ``recv`` watermark and both
     sides replay their unacknowledged buffers, so a severed-and-healed
-    link is invisible to detection.  Without a session id (legacy
-    supervisors), dropping the connection discards the replica exactly
-    as before, and a kill + reconnect is semantically a respawn.
+    link is invisible to detection.  A first frame that is not a hello,
+    or a hello without a session id, is refused with one ``error``
+    frame; a resume of a session this listener no longer holds is
+    answered ``resumed: false`` (the supervisor falls back to a full
+    respawn).
 
     One listener hosts any number of shards (one per connection), which
     is what lets ``scale(n)`` grow a cluster without new machines.
@@ -252,20 +271,55 @@ async def serve_worker_listener(
     ``announce`` is called with the bound ``host:port`` once listening —
     the CLI prints it as a JSON line so scripts can use port 0.
     """
-    binary = get_codec("binary")
     default_grace = (
         session_grace if session_grace is not None else DEFAULT_SESSION_GRACE
     )
     sessions: dict[str, _HeldSession] = {}
     connection_counter = itertools.count(1)
 
-    def sweep(now: float) -> None:
-        for sid in [
-            sid
-            for sid, held in sessions.items()
+    def attach(hello: Any, conn_id: int) -> tuple[Codec, _HeldSession]:
+        """The codec ``hello`` negotiates and the session it opens or
+        resumes, now owned by ``conn_id``; :class:`_Refused` when there
+        is none to serve."""
+        if (
+            not isinstance(hello, dict)  # EOF, or a unit that did not decode
+            or hello.get("op") != "hello"
+            or hello.get("session") is None
+        ):
+            raise _Refused(
+                "error",
+                message="expected a hello naming its session as the "
+                "first frame",
+            )
+        sid = str(hello["session"])
+        chosen = choose_codec(codec, [str(c) for c in hello.get("codecs", [])])
+        now = time.monotonic()
+        for expired in [
+            key
+            for key, held in sessions.items()
             if held.expires_at is not None and now > held.expires_at
         ]:
-            del sessions[sid]
+            del sessions[expired]
+        if not hello.get("resume"):
+            sessions[sid] = _HeldSession(
+                sid,
+                _ShardSession(
+                    int(hello.get("shard", 0)),
+                    timer_ratio=int(hello.get("timer_ratio", timer_ratio)),
+                ),
+                float(hello.get("session_grace", default_grace)),
+            )
+        elif sid not in sessions:
+            # Grace expired (or the listener itself restarted): the
+            # replica is gone, and the supervisor must fall back to a
+            # full respawn.
+            raise _Refused(
+                "hello_ack", codec=chosen.name, version=1, resumed=False
+            )
+        held = sessions[sid]
+        held.owner = conn_id
+        held.expires_at = None
+        return chosen, held
 
     async def on_connection(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -275,196 +329,116 @@ async def serve_worker_listener(
             max_frame_bytes=_WORKER_FRAME_LIMIT,
         )
         conn_id = next(connection_counter)
-        session: _ShardSession | None = None
-        held: _HeldSession | None = None
-        chosen = "jsonl"
-        stopped = False
+
+        async def inbound():
+            """Every unit of the connection as its control frame, or as
+            the error decoding it raised; what this side wrote while
+            processing a chunk is drained before the next is read."""
+            while chunk := await reader.read(1 << 16):
+                for unit in decoder.feed(chunk):
+                    try:
+                        yield decode_control_unit(unit)
+                    except ReproError as error:
+                        yield error
+                await writer.drain()
+
+        try:
+            async with contextlib.aclosing(inbound()) as frames:
+                hello = await anext(frames, None)
+                try:
+                    chosen, held = attach(hello, conn_id)
+                except _Refused as refusal:
+                    writer.write(_JSONL.encode_control(refusal.frame))
+                    return
+                await converse(hello, chosen, held, conn_id, frames, writer)
+        except (OSError, ConnectionError):  # peer went away mid-write
+            pass
+        finally:
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (OSError, ConnectionError):
+                pass
+
+    async def converse(
+        hello: dict[str, Any],
+        chosen: Codec,
+        held: _HeldSession,
+        conn_id: int,
+        frames: Any,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        """One attached connection, from its ``hello_ack`` to the
+        session being finished (``stop``) or held (anything else)."""
+        session, half = held.session, held.half
+        resumed = bool(hello.get("resume"))
 
         def write_wire(frame: dict[str, Any]) -> None:
             # A severed transport drops everything anyway; skipping the
             # write spares asyncio's per-call connection-lost warning.
             # Session-stamped frames are already buffered in the session
             # half, so they replay on resume; the rest dies with the link.
-            if writer.transport.is_closing():
-                return
-            if chosen == "binary":
-                writer.write(binary.encode_control(frame))
-            else:
-                writer.write(
-                    (json.dumps(frame, sort_keys=True) + "\n").encode("utf-8")
-                )
+            if not writer.transport.is_closing():
+                writer.write(chosen.encode_control(frame))
 
         def emit(op: str, **fields: Any) -> None:
-            if op == "beat":
-                fields.setdefault("t", time.monotonic())
-            frame = {"op": op, **fields}
-            if held is not None:
-                frame = held.half.stamp(frame)
-            write_wire(frame)
+            write_wire(half.stamp({"op": op, **fields}))
 
         async def beat_loop(interval: float) -> None:
             try:
                 while True:
                     await asyncio.sleep(interval)
-                    emit("beat", seq=session.replica.applied_seq)
+                    emit("beat", **session.beat())
                     await writer.drain()
             except (OSError, ConnectionError):
                 pass  # link died between beats; the read loop holds the session
 
-        beats: asyncio.Task | None = None
+        # The ack itself is always a JSONL line (readable before
+        # negotiation); the switch happens after.
+        writer.write(
+            _JSONL.encode_control(
+                {
+                    "op": "hello_ack",
+                    "codec": chosen.name,
+                    "version": 1,
+                    "resumed": resumed,
+                    "recv": half.recv_n,
+                }
+            )
+        )
+        if resumed:
+            # Replay everything the supervisor never saw (already
+            # numbered — not re-stamped).
+            for replay in half.replay_after(int(hello.get("recv", 0))):
+                write_wire(replay)
+        emit("beat", **session.beat())
+        beats = asyncio.get_running_loop().create_task(
+            beat_loop(float(hello.get("heartbeat_interval", heartbeat_interval)))
+        )
+        stopped = False
         try:
-            running = True
-            while running:
-                chunk = await reader.read(1 << 16)
-                if not chunk:
+            async for frame in frames:
+                if isinstance(frame, ReproError):
+                    emit("error", message=str(frame))
+                    continue
+                deliver, replies = half.accept(frame)
+                for reply in replies:
+                    write_wire(reply)
+                if deliver and not session.handle(frame, emit):
+                    stopped = True
                     break
-                for unit in decoder.feed(chunk):
-                    if unit.kind == "error":
-                        emit("error", message=unit.message)
-                        continue
-                    try:
-                        if unit.kind == "frame":
-                            frame = binary.decode_control(bytes(unit.payload))
-                        else:
-                            frame = parse_frame(
-                                unit.payload.decode("utf-8", errors="replace")
-                            )
-                    except Exception as error:  # noqa: BLE001 - bad frame
-                        emit("error", message=str(error))
-                        continue
-                    if session is None:
-                        # Connection setup: hello before anything else.
-                        if frame.get("op") != "hello":
-                            emit(
-                                "error",
-                                message="expected hello as the first frame",
-                            )
-                            running = False
-                            break
-                        chosen = choose_codec(
-                            codec, [str(c) for c in frame.get("codecs", [])]
-                        ).name
-                        now = time.monotonic()
-                        sweep(now)
-                        sid = frame.get("session")
-                        resumed = False
-                        if sid is not None and frame.get("resume"):
-                            candidate = sessions.get(str(sid))
-                            if candidate is None:
-                                # Grace expired (or the listener itself
-                                # restarted): the replica is gone, and
-                                # the supervisor must fall back to a
-                                # full respawn.
-                                writer.write(
-                                    (
-                                        frame_to_line(
-                                            "hello_ack",
-                                            codec=chosen,
-                                            version=1,
-                                            resumed=False,
-                                        )
-                                        + "\n"
-                                    ).encode("utf-8")
-                                )
-                                running = False
-                                break
-                            held = candidate
-                            held.owner = conn_id
-                            held.expires_at = None
-                            session = held.session
-                            resumed = True
-                        else:
-                            session = _ShardSession(
-                                int(frame.get("shard", 0)),
-                                timer_ratio=int(
-                                    frame.get("timer_ratio", timer_ratio)
-                                ),
-                            )
-                            if sid is not None:
-                                held = _HeldSession(
-                                    session,
-                                    float(
-                                        frame.get(
-                                            "session_grace", default_grace
-                                        )
-                                    ),
-                                )
-                                held.owner = conn_id
-                                sessions[str(sid)] = held
-                        interval = float(
-                            frame.get(
-                                "heartbeat_interval", heartbeat_interval
-                            )
-                        )
-                        # The ack itself is always a JSONL line (readable
-                        # before negotiation); the switch happens after.
-                        ack_fields: dict[str, Any] = {
-                            "codec": chosen, "version": 1,
-                        }
-                        if held is not None:
-                            ack_fields["resumed"] = resumed
-                            ack_fields["recv"] = held.half.recv_n
-                        writer.write(
-                            (
-                                frame_to_line("hello_ack", **ack_fields)
-                                + "\n"
-                            ).encode("utf-8")
-                        )
-                        if resumed:
-                            # Replay everything the supervisor never
-                            # saw (already numbered — not re-stamped).
-                            for replay in held.half.replay_after(
-                                int(frame.get("recv", 0))
-                            ):
-                                write_wire(replay)
-                        emit("beat", seq=session.replica.applied_seq)
-                        beats = asyncio.get_running_loop().create_task(
-                            beat_loop(interval)
-                        )
-                        continue
-                    if held is not None:
-                        verdict = held.half.receive(frame)
-                        if verdict == "duplicate":
-                            continue
-                        if verdict == "gap":
-                            write_wire(held.half.rewind_frame())
-                            continue
-                        if frame.get("op") == "rewind":
-                            for replay in held.half.replay_after(
-                                int(frame["have"])
-                            ):
-                                write_wire(replay)
-                            continue
-                    try:
-                        running = session.handle(frame, emit)
-                    except ReproError as error:
-                        emit("error", message=str(error))
-                    except Exception as error:  # noqa: BLE001 - keep alive
-                        emit("error", message=f"{type(error).__name__}: {error}")
-                    if not running:
-                        stopped = True
-                        break
-                await writer.drain()
-        except (OSError, ConnectionError):  # peer went away mid-write
-            pass
         finally:
-            if beats is not None:
-                beats.cancel()
-            if held is not None and held.owner == conn_id:
+            beats.cancel()
+            if held.owner == conn_id:
                 if stopped:
                     # Clean shutdown: the session is finished, not lost.
-                    for key in [k for k, h in sessions.items() if h is held]:
-                        del sessions[key]
+                    if sessions.get(held.sid) is held:
+                        del sessions[held.sid]
                 else:
                     # Hold the replica for the grace window: a resuming
                     # supervisor reclaims it, everyone else times out.
                     held.owner = None
                     held.expires_at = time.monotonic() + held.grace
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
 
     server = await asyncio.start_server(
         on_connection, host, port, limit=_WORKER_FRAME_LIMIT
@@ -473,4 +447,3 @@ async def serve_worker_listener(
         bound = server.sockets[0].getsockname()
         announce(f"{bound[0]}:{bound[1]}")
     return server
-

@@ -426,3 +426,63 @@ class TestSeveredLink:
             for epochs in supervisor.granule_epochs.values()
         )
         assert supervisor_multisets(supervisor) == expected
+
+
+@pytest.mark.slow
+class TestScriptedLinkFaults:
+    """The ``chaos-smoke`` ``--net-fault-plan`` leg as a test: scripted
+    drops, duplicates and a reset injected in-path (``FaultyLink``) on a
+    live localhost link, repaired by the session layer alone."""
+
+    PLAN = NetFaultPlan(
+        drop_to_worker=(7, 40), dup_to_supervisor=(12,), resets=(25,)
+    )
+
+    @pytest.mark.parametrize("codec", ["jsonl", "binary"])
+    def test_faulted_link_keeps_the_multiset(self, tmp_path, codec):
+        events = stream(48)
+        horizon = events[-1].granule + 8
+        expected = baseline_multisets(events, horizon)
+
+        async def scenario():
+            server = await serve_worker_listener(
+                "127.0.0.1", 0, heartbeat_interval=0.1
+            )
+            port = server.sockets[0].getsockname()[1]
+            supervisor = ClusterSupervisor(
+                config=ServeConfig(
+                    shards=1,
+                    timer_ratio=TIMER_RATIO,
+                    state_dir=str(tmp_path / "state"),
+                    heartbeat_interval=0.1,
+                    miss_threshold=1000,
+                    checkpoint_every=8,
+                    codec=codec,
+                    transport="tcp",
+                    workers=(f"127.0.0.1:{port}",),
+                    retry_policy=RetryPolicy(
+                        base=0.02, cap=0.2, attempt_timeout=2.0, deadline=10.0
+                    ),
+                ),
+                net_fault_plan=self.PLAN,
+            )
+            for name, expression in sorted(RULES.items()):
+                supervisor.register(expression, name)
+            try:
+                async with supervisor:
+                    for event in events:
+                        assert await supervisor.ingest(event) == []
+                    assert await supervisor.drain(horizon) == []
+                    link = supervisor._workers[0].link
+            finally:
+                server.close()
+                await server.wait_closed()
+            return supervisor, link
+
+        supervisor, link = asyncio.run(scenario())
+        assert link.codec_name == codec
+        fired = {verdict for _, _, verdict in link._inner.faults.fired}
+        assert fired == {"drop", "dup", "reset"}
+        assert supervisor.restarts == 0
+        assert supervisor.resumes >= 1
+        assert supervisor_multisets(supervisor) == expected
