@@ -136,6 +136,10 @@ class SessionHalf:
         self.recv_n = 0
         self.peer_recv = 0
         self._buffer: list[dict[str, Any]] = []
+        # The open gap episode: the watermark the last rewind named and
+        # the highest number dropped behind it (see accept).
+        self._rewound_at = -1
+        self._gap_high = 0
 
     @property
     def outstanding(self) -> int:
@@ -195,12 +199,23 @@ class SessionHalf:
         never re-stamped) to send straight back: a ``rewind`` for a
         gap, the buffered tail for a peer's ``rewind``.  A duplicate is
         neither delivered nor answered.
+
+        One ``rewind`` per gap episode, not per gapped frame: every
+        frame in flight behind a lost one is a gap too, and each
+        ``rewind`` costs the peer its whole unacknowledged tail.  Such
+        frames arrive with rising numbers and are dropped silently —
+        the replay brings them again.  A number that does not rise is
+        the replay itself arriving with its own head lost, and asks
+        again.
         """
         verdict = self.receive(frame)
         if verdict == "duplicate":
             return False, []
         if verdict == "gap":
-            return False, [self.rewind_frame()]
+            n = int(frame["n"])
+            behind = self._rewound_at == self.recv_n and n > self._gap_high
+            self._rewound_at, self._gap_high = self.recv_n, n
+            return False, [] if behind else [self.rewind_frame()]
         if frame.get("op") == "rewind":
             return False, self.replay_after(int(frame["have"]))
         return True, []

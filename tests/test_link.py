@@ -134,6 +134,65 @@ class TestAcceptLadder:
         assert delivered == [0, 1, 2, 3]
 
 
+def burst(count, dropped):
+    """Send ``count`` frames in one burst over a FIFO wire that loses the
+    sender->receiver transmissions whose 1-based ordinal is in
+    ``dropped``; rewinds travel back losslessly and their replays queue
+    behind whatever is still in flight.  Returns ``(rewinds sent, frames
+    put on the wire, numbers delivered)``."""
+    sender, receiver = SessionHalf(), SessionHalf()
+    wire = [
+        ("data", sender.stamp({"op": "event", "seq": seq}))
+        for seq in range(count)
+    ]
+    transmissions = rewinds = 0
+    delivered = []
+    while wire:
+        kind, frame = wire.pop(0)
+        if kind == "rewind":
+            _, replays = sender.accept(frame)
+            wire.extend(("data", replay) for replay in replays)
+            continue
+        transmissions += 1
+        if transmissions in dropped:
+            continue
+        deliver, replies = receiver.accept(dict(frame))
+        if deliver:
+            delivered.append(frame["n"])
+        rewinds += len(replies)
+        wire.extend(("rewind", reply) for reply in replies)
+    return rewinds, transmissions, delivered
+
+
+class TestOneRewindPerGapEpisode:
+    """Every frame in flight behind a lost one is a gap too; answering
+    each with a rewind made the peer replay its whole tail once per
+    frame (57 rewinds and 3,370 frames for this burst)."""
+
+    def test_one_lost_frame_costs_one_rewind_and_one_replay(self):
+        rewinds, transmissions, delivered = burst(64, dropped={7})
+        assert delivered == list(range(1, 65))
+        assert rewinds == 1
+        assert transmissions <= 64 + 58  # the burst, then frames 7..64 again
+
+    def test_a_replay_that_loses_its_own_head_asks_again(self):
+        # Transmission 65 is the replay's first frame (number 7).
+        rewinds, transmissions, delivered = burst(64, dropped={7, 65})
+        assert delivered == list(range(1, 65))
+        assert rewinds == 2
+
+    def test_a_new_gap_after_the_repair_is_a_new_episode(self):
+        rewinds, _, delivered = burst(64, dropped={7, 100})
+        assert delivered == list(range(1, 65))
+        assert rewinds == 2
+
+    def test_frames_behind_an_outstanding_rewind_still_ack(self):
+        half = half_at(3, sent=2)
+        assert half.accept({"op": "ack", "n": 6, "recv": 0})[1] != []
+        assert half.accept({"op": "ack", "n": 7, "recv": 2}) == (False, [])
+        assert half.outstanding == 0
+
+
 class TestControlFrameBytes:
     FRAMES = [
         {"op": "beat", "seq": 9, "t": 1.5},

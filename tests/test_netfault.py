@@ -153,10 +153,12 @@ def run_lossy_channel(count, script):
 
     The sender stamps every frame through its :class:`SessionHalf`; the
     channel applies one scripted action per transmission (``deliver``,
-    ``drop``, ``dup``, or ``swap`` with the next frame); the receiver
-    answers gaps with rewinds (whose replays travel the same lossy
-    channel); and a final resume handshake replays whatever is still
-    outstanding.  Returns the delivered frames in order.
+    ``drop``, ``dup``, or ``swap`` with the next frame) — replayed
+    frames included; both ends run :meth:`SessionHalf.accept` (the
+    receiver's rewinds travel back losslessly, the replays they trigger
+    ride the lossy channel again); and a final resume handshake replays
+    whatever is still outstanding.  Returns the delivered frames in
+    order.
     """
     sender, receiver = SessionHalf(), SessionHalf()
     delivered = []
@@ -164,12 +166,11 @@ def run_lossy_channel(count, script):
     held = []  # one frame deferred by a pending "swap"
 
     def accept(wire):
-        verdict = receiver.receive(wire)
-        if verdict == "deliver":
+        deliver, replies = receiver.accept(wire)
+        if deliver:
             delivered.append(wire)
-        elif verdict == "gap":
-            # The rewind's replays ride the faulty channel too.
-            for replay in sender.replay_after(receiver.recv_n):
+        for rewind in replies:
+            for replay in sender.accept(rewind)[1]:
                 transmit(replay)
 
     def transmit(wire):
