@@ -825,9 +825,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
     re-hashes onto each ``--steps`` worker count mid-stream (under an
     optional fault plan), over subprocess or remote TCP workers, and
     asserts the detection multiset matches the fault-free
-    single-process runtime.  (Every serve detector runs at site
-    ``shard``, so a temporal rule's timer stamps do not name the shard
-    that owned it when they fired.)
+    single-process runtime.
     """
     import asyncio
     import json

@@ -430,9 +430,8 @@ class ClusterSupervisor(_CoreDriver):
     (worker count; falls back to ``shards``), ``salt``,
     ``timer_ratio``, ``state_dir`` (required), ``heartbeat_interval``,
     ``miss_threshold``, ``retry_budget``, ``checkpoint_every``,
-    ``seed``, ``codec`` (a named codec is also the WALs' storage
-    encoding, so failover replay consumes the wire encoding — JSONL
-    lines, or binary frames; ``"auto"`` stores JSONL),
+    ``seed``, ``codec`` (a named codec is also the WALs' framing, so
+    failover replay consumes the wire encoding; ``"auto"`` stores JSONL),
     ``transport``/``workers`` (remote TCP shard endpoints instead of
     local subprocess workers), and ``rebalance_grace`` (``None`` parks
     a shard past its retry budget until :meth:`revive`; a float

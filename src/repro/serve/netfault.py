@@ -12,10 +12,9 @@ a supervisor and its workers, scheduled just as deterministically:
   reproducible plan from one integer, which is how the conformance
   ``netfault`` check and the fuzzer parameterize cases.
 
-* :class:`LinkFaults` — the one interpreter of a plan: per shard link
-  it counts the frames attempted in each direction and says, for each,
-  ``deliver`` / ``drop`` / ``dup`` / ``reset`` (and whether to stall).
-  Both injectors below ask it and only act on the answer.
+* :class:`LinkFaults` — the one interpreter of a plan: it counts the
+  frames attempted on a shard's link and answers each with ``deliver``
+  / ``drop`` / ``dup`` / ``reset``.  Both injectors below only ask it.
 
 * :func:`replay_with_netfault` — the sans-IO harness: per shard, a
   supervisor-side :class:`~repro.serve.session.SessionHalf` faces a
@@ -204,10 +203,9 @@ class LinkFaults:
     """The one interpreter of a :class:`NetFaultPlan`, for one shard's link.
 
     Counts the frames attempted per direction and over both (the
-    ordinals of the plan, never reset by a reconnect) and answers each
-    attempt with a verdict.  ``fired`` logs every verdict that was not
-    ``deliver`` as ``(direction, ordinal, verdict)``.  A plan scoped to
-    another shard, or no plan, delivers everything.
+    plan's ordinals, never reset by a reconnect); ``fired`` logs every
+    verdict but ``deliver`` as ``(direction, ordinal, verdict)``.  A
+    plan scoped to another shard, or no plan, delivers everything.
     """
 
     def __init__(self, plan: NetFaultPlan | None, shard: int) -> None:
@@ -219,9 +217,8 @@ class LinkFaults:
 
     def verdict(self, direction: str) -> tuple[str, float]:
         """``(deliver | drop | dup | reset, stall seconds)`` for the next
-        frame attempted toward ``direction`` (``to_worker`` /
-        ``to_supervisor``).  A reset pre-empts the rest; a frame both
-        dropped and duplicated is dropped."""
+        frame attempted in ``direction`` (``to_worker`` /
+        ``to_supervisor``): a reset pre-empts the rest, a drop a dup."""
         self.ordinals[direction] += 1
         plan = self.plan
         if plan is None:

@@ -399,8 +399,8 @@ class JsonlCodec(Codec):
         return rows
 
     def encode_control(self, frame: Mapping[str, Any]) -> bytes:
-        text = json.dumps(_checked_control(frame), sort_keys=True)
-        return (text + "\n").encode("utf-8")
+        # row_line: sorted-key JSON without an encoder built per frame.
+        return (row_line(_checked_control(frame)) + "\n").encode("utf-8")
 
     def decode_control(self, data: bytes) -> dict[str, Any]:
         return parse_frame(data.decode("utf-8", errors="replace"))
@@ -973,16 +973,16 @@ class StreamUnit:
 
 def unit_codec(unit: StreamUnit) -> Codec:
     """The codec a split unit declares by its own framing: a ``frame``
-    is binary, a ``line`` JSONL — whatever the stream negotiated."""
-    return _CODECS["binary" if unit.kind == "frame" else "jsonl"]
-
-
-def decode_control_unit(unit: StreamUnit) -> dict[str, Any]:
-    """The control frame one split unit carries (op checked); an
+    is binary, a ``line`` JSONL — whatever the stream negotiated.  An
     ``error`` unit raises its message as a
     :class:`~repro.errors.CodecError`."""
     if unit.kind == "error":
         raise CodecError(unit.message)
+    return _CODECS["binary" if unit.kind == "frame" else "jsonl"]
+
+
+def decode_control_unit(unit: StreamUnit) -> dict[str, Any]:
+    """The control frame one split unit carries (op checked)."""
     return unit_codec(unit).decode_control(unit.payload)
 
 

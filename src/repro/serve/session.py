@@ -25,8 +25,7 @@ network instead of the process:
   side's ``recv`` watermark and both replay their buffers past it —
   which makes the channel exactly-once and in-order end to end, for
   both event dispatch *and* the detections flowing back.
-  :meth:`SessionHalf.accept` is that receive ladder, stated once: what
-  to hand on, and what to send back, for one inbound frame.
+  :meth:`SessionHalf.accept` is that receive ladder, stated once.
 
 The halves are symmetric and transport-free: the supervisor's
 :class:`~repro.serve.transport.ResumableTcpLink` and the worker
@@ -195,18 +194,16 @@ class SessionHalf:
         """The receive ladder: ``(deliver, replies)`` for one inbound frame.
 
         ``deliver`` says the frame is new, in order and the owner's to
-        process; ``replies`` are wire-ready frames (already numbered —
-        never re-stamped) to send straight back: a ``rewind`` for a
-        gap, the buffered tail for a peer's ``rewind``.  A duplicate is
-        neither delivered nor answered.
+        process; ``replies`` are wire-ready frames (never re-stamped)
+        to send straight back: a ``rewind`` for a gap, the buffered
+        tail for a peer's ``rewind``; a duplicate gets neither.
 
         One ``rewind`` per gap episode, not per gapped frame: every
         frame in flight behind a lost one is a gap too, and each
         ``rewind`` costs the peer its whole unacknowledged tail.  Such
-        frames arrive with rising numbers and are dropped silently —
-        the replay brings them again.  A number that does not rise is
-        the replay itself arriving with its own head lost, and asks
-        again.
+        frames arrive with rising numbers and are dropped silently (the
+        replay brings them again); a number that does not rise is the
+        replay arriving with its own head lost, and asks again.
         """
         verdict = self.receive(frame)
         if verdict == "duplicate":

@@ -51,11 +51,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Callable
 
 from repro.errors import ReproError
-from repro.serve.protocol import (
-    StreamDecoder,
-    decode_control_unit,
-    get_codec,
-)
+from repro.serve.protocol import StreamDecoder, decode_control_unit, get_codec
 from repro.serve.session import (
     DEFAULT_SESSION_GRACE,
     RetryPolicy,
@@ -142,11 +138,9 @@ class SubprocessLink(WorkerLink):
                 continue
             if not raw:
                 return None
-            if raw.isspace():
-                continue
             try:
                 return _JSONL.decode_control(raw)
-            except ReproError:
+            except ReproError:  # blank or malformed: skipped, not counted
                 continue
 
     def kill(self) -> None:
@@ -442,8 +436,8 @@ class ResumableTcpLink(WorkerLink):
     ) -> None:
         self.transport = transport
         self.shard = shard
-        #: What every connection of this session opens with (the
-        #: session id included); a resume adds its watermark.
+        #: What every connection of this session opens with, session id
+        #: included (a resume adds its watermark).
         self.hello = hello
         self.frame_limit = frame_limit
         self.policy = policy
@@ -470,7 +464,6 @@ class ResumableTcpLink(WorkerLink):
         self._inner, _ack = await self.transport.open_link(
             self.shard, self.hello, frame_limit=self.frame_limit
         )
-        self._inner_dropped = 0
 
     async def _resume_once(self) -> WorkerLink:
         """One reconnect + resume attempt (no retries, no timeout)."""

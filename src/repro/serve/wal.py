@@ -27,15 +27,15 @@ the cluster supervisor uses — durable across *process* crashes;
 appends are flushed, not fsynced, so an OS crash or power loss may lose
 the newest entries) or purely in-memory (the mode the in-process
 failover harness, the conformance ``failover`` check, and the benches
-use — same replay semantics, no disk).  A file has one layout per
-codec — JSONL lines or binary frames, :meth:`~repro.serve.protocol.
-Codec.encode_wal_entry` — and is read back through the stream splitter
-by each unit's own framing, with no bound on a unit but the file's
-size: whatever this log appended, it can reload.  Truncation drops entries at or
-below a sequence number once a *previous-generation* checkpoint covers
-them; the supervisor deliberately retains one checkpoint generation of
-slack so a corrupted latest checkpoint can still fall back to the
-previous one plus the retained tail.  The newest entry is always kept
+use — same replay semantics, no disk).  A file holds JSONL lines or
+binary frames (:meth:`~repro.serve.protocol.Codec.encode_wal_entry`)
+and is read back by each unit's own framing, bounded only by the
+file's size: whatever a log appended, it reloads.  Truncation drops
+entries at or below a sequence number once a *previous-generation*
+checkpoint covers them; the supervisor deliberately retains one
+checkpoint generation of slack so a corrupted latest checkpoint can
+still fall back to the previous one plus the retained tail.  The
+newest entry is always kept
 even when fully covered: it is the durable sequence watermark, so a
 reopened log keeps numbering past the checkpoint instead of restarting
 below it (which would make new entries invisible to recovery's tail
@@ -156,7 +156,6 @@ class ShardWAL:
             self._handle = open(path, "ab")
 
     def _load(self, path: str) -> None:
-        torn: str | None = None
         # The ingest bounds guard against hostile peers; this file is
         # our own.  An event the server accepted can re-serialise past
         # the line that carried it in (the entry wrapper, sorted keys,
@@ -168,26 +167,21 @@ class ShardWAL:
             while chunk := handle.read(1 << 16):
                 units.extend(splitter.feed(chunk))
         units.extend(splitter.finish())
-        for position, unit in enumerate(units):
+        for unit in units:
             try:
-                if unit.kind == "error":
-                    raise CodecError(unit.message)
                 self._entries.append(
                     WalEntry.decode(unit_codec(unit), unit.payload)
                 )
             except CodecError as error:
                 # Only the stream's very tail may legitimately be
-                # incomplete (a crash mid-append); an error earlier in
-                # the file is real corruption.
-                if position == len(units) - 1:
-                    torn = str(error)
-                    break
-                raise ReproError(
-                    f"corrupt WAL file {path!r}: {error}"
-                ) from None
-        if torn is not None:
-            self.torn_tails += 1
-            self._rewrite()
+                # incomplete (a crash mid-append): it is cut off.  An
+                # error earlier in the file is real corruption.
+                if unit is not units[-1]:
+                    raise ReproError(
+                        f"corrupt WAL file {path!r}: {error}"
+                    ) from None
+                self.torn_tails += 1
+                self._rewrite()
         if self._entries:
             self._next_seq = self._entries[-1].seq + 1
 

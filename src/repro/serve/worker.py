@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import itertools
 import os
 import sys
 import time
@@ -74,9 +73,8 @@ class _ShardSession:
         self.replica = ShardReplica(shard, timer_ratio=timer_ratio)
 
     def beat(self) -> dict[str, Any]:
-        """The fields of a liveness beat: the applied watermark, and the
-        send-time clock that lets the supervisor's monitor separate
-        transport latency from silence."""
+        """A liveness beat's fields: the applied watermark, and the
+        send-time clock that lets the monitor tell latency from silence."""
         return {"seq": self.replica.applied_seq, "t": time.monotonic()}
 
     def handle(
@@ -204,7 +202,7 @@ class _HeldSession:
     """A listener-side resumable session: replica + frame ledger.
 
     Lives in the listener's session table across connections.  While a
-    connection is attached, ``owner`` is that connection's id; after a
+    connection is attached, ``owner`` is that connection's writer; after a
     disconnect the session survives until ``expires_at`` (the grace
     window), within which a resume ``hello`` re-attaches it.
     """
@@ -215,7 +213,7 @@ class _HeldSession:
         self.sid = sid
         self.session = session
         self.half = SessionHalf()
-        self.owner: int | None = None
+        self.owner: asyncio.StreamWriter | None = None
         self.expires_at: float | None = None
         self.grace = grace
 
@@ -225,7 +223,6 @@ class _Refused(Exception):
     answer the connection gets before it is closed."""
 
     def __init__(self, op: str, **fields: Any) -> None:
-        super().__init__(op)
         self.frame = {"op": op, **fields}
 
 
@@ -275,12 +272,13 @@ async def serve_worker_listener(
         session_grace if session_grace is not None else DEFAULT_SESSION_GRACE
     )
     sessions: dict[str, _HeldSession] = {}
-    connection_counter = itertools.count(1)
 
-    def attach(hello: Any, conn_id: int) -> tuple[Codec, _HeldSession]:
+    def attach(
+        hello: Any, writer: asyncio.StreamWriter
+    ) -> tuple[Codec, _HeldSession]:
         """The codec ``hello`` negotiates and the session it opens or
-        resumes, now owned by ``conn_id``; :class:`_Refused` when there
-        is none to serve."""
+        resumes, now owned by ``writer``'s connection; :class:`_Refused`
+        when there is none to serve."""
         if (
             not isinstance(hello, dict)  # EOF, or a unit that did not decode
             or hello.get("op") != "hello"
@@ -317,7 +315,7 @@ async def serve_worker_listener(
                 "hello_ack", codec=chosen.name, version=1, resumed=False
             )
         held = sessions[sid]
-        held.owner = conn_id
+        held.owner = writer
         held.expires_at = None
         return chosen, held
 
@@ -328,12 +326,10 @@ async def serve_worker_listener(
             max_line_bytes=_WORKER_FRAME_LIMIT,
             max_frame_bytes=_WORKER_FRAME_LIMIT,
         )
-        conn_id = next(connection_counter)
 
         async def inbound():
-            """Every unit of the connection as its control frame, or as
-            the error decoding it raised; what this side wrote while
-            processing a chunk is drained before the next is read."""
+            """Each unit as its control frame, or as the error decoding
+            it raised; our writes are drained between chunks."""
             while chunk := await reader.read(1 << 16):
                 for unit in decoder.feed(chunk):
                     try:
@@ -346,11 +342,11 @@ async def serve_worker_listener(
             async with contextlib.aclosing(inbound()) as frames:
                 hello = await anext(frames, None)
                 try:
-                    chosen, held = attach(hello, conn_id)
+                    chosen, held = attach(hello, writer)
                 except _Refused as refusal:
                     writer.write(_JSONL.encode_control(refusal.frame))
                     return
-                await converse(hello, chosen, held, conn_id, frames, writer)
+                await converse(hello, chosen, held, frames, writer)
         except (OSError, ConnectionError):  # peer went away mid-write
             pass
         finally:
@@ -364,7 +360,6 @@ async def serve_worker_listener(
         hello: dict[str, Any],
         chosen: Codec,
         held: _HeldSession,
-        conn_id: int,
         frames: Any,
         writer: asyncio.StreamWriter,
     ) -> None:
@@ -429,7 +424,7 @@ async def serve_worker_listener(
                     break
         finally:
             beats.cancel()
-            if held.owner == conn_id:
+            if held.owner is writer:
                 if stopped:
                     # Clean shutdown: the session is finished, not lost.
                     if sessions.get(held.sid) is held:
