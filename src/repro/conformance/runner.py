@@ -408,19 +408,11 @@ def _wire_round_trip(events):
     decoding them back yields the stream a ``--codec binary`` server
     ingests.  A transparent codec returns an equal event list.
     """
-    from repro.serve import get_codec
+    from repro.serve.protocol import get_codec, granule_runs
 
     codec = get_codec("binary")
     out = []
-    run: list = []
-    granule = None
-    for event in events:
-        if granule is not None and event.granule != granule:
-            out.extend(codec.decode_batch(codec.encode_batch(run)))
-            run = []
-        granule = event.granule
-        run.append(event)
-    if run:
+    for run in granule_runs(events):
         out.extend(codec.decode_batch(codec.encode_batch(run)))
     return out
 

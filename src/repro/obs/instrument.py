@@ -32,9 +32,12 @@ Span-name conventions used by the built-in hooks:
 ========================  =====================================================
 
 The serving runtime (``repro.serve``) adds metric-only hooks: counters
-``serve.ingested`` / ``serve.pressure`` at the router and per-shard
-``serve.events`` / ``serve.detections``, plus per-shard histograms
-``serve.batch_size`` and ``serve.flush_ns``.
+``serve.ingested`` / ``serve.pressure`` at the router, and five
+per-shard metrics observed by the one shard step
+(:class:`~repro.serve.shard.ShardEngine`, so a runtime's shards and a
+cluster's replicas report alike): counters ``serve.events`` /
+``serve.detections`` / ``serve.verdicts`` and histograms
+``serve.batch_size`` / ``serve.flush_ns``.
 
 The fault-tolerant cluster (``repro.serve.cluster``) adds the
 ``serve.failover.*`` family: counters ``serve.failover.restarts``

@@ -40,8 +40,6 @@ from typing import Any, Iterable, Mapping
 
 from repro.contexts.policies import Context
 from repro.detection.approximate import VerdictDetection
-from repro.detection.checkpoint import restore as restore_detector
-from repro.detection.checkpoint import snapshot as snapshot_detector
 from repro.detection.detector import Detection, Detector
 from repro.errors import ReproError
 from repro.events.expressions import EventExpression
@@ -51,7 +49,7 @@ from repro.serve.admin import ClusterStatus
 from repro.serve.protocol import ServeEvent
 from repro.serve.rebalance import ScaleReport, graft_detector
 from repro.serve.router import EventRouter
-from repro.serve.shard import shard_engines
+from repro.serve.shard import ShardEngine
 from repro.serve.wal import KIND_EVENT, ShardWAL, WalEntry
 
 
@@ -304,10 +302,14 @@ class TaggedDetection:
 
 
 class ShardReplica:
-    """One shard's detector applying WAL entries in sequence order.
+    """One shard's engine applying WAL entries in sequence order.
 
-    The worker process wraps one replica behind the control-frame loop;
-    the in-process harness and the conformance ``failover`` check drive
+    A driver of :class:`~repro.serve.shard.ShardEngine` (the step a
+    :class:`~repro.serve.shard.DetectionShard` batches for, reporting
+    the same ``serve.*`` step metrics): one entry is one step, and the
+    replica adds the ``(seq, k)`` tags and the applied watermark.  The
+    worker process wraps one replica behind the control-frame loop; the
+    in-process harness and the conformance ``failover`` check drive
     replicas directly.  Application is deterministic: entry ``seq``
     always produces the same detections in the same order, so a tag
     ``(seq, k)`` names a detection stably across crash/replay — the
@@ -327,10 +329,8 @@ class ShardReplica:
         instrumentation: Instrumentation | None = None,
     ) -> None:
         self.index = index
-        self.detector, self.stabilizer = shard_engines(
-            timer_ratio, approximate, instrumentation
-        )
-        self.approximate = approximate
+        self.engine = ShardEngine(index, timer_ratio, approximate, instrumentation)
+        self.detector = self.engine.detector
         self.applied_seq = 0
         self._fired: list[Detection] = []
 
@@ -340,81 +340,52 @@ class ShardReplica:
         name: str,
         context: Context = Context.UNRESTRICTED,
     ) -> None:
-        self.detector.register(
+        self.engine.register(
             expression, name=name, context=context, callback=self._fired.append
         )
 
     def apply(self, entry: WalEntry) -> list[TaggedDetection]:
         """Apply one WAL entry; returns the tagged detections it fired.
 
-        An approximate replica applies the same entries through its
-        stabilizer: events feed the shadow engine eagerly (tentatives)
-        and advance-entries are the drain-horizon promise that closes
-        the watermark frontier (confirmations and retractions).  The
+        On an approximate replica the step's verdicts are the tagged
+        units: events reach the shadow engine eagerly (tentatives) and
+        advance-entries are the drain-horizon promise that closes the
+        watermark frontier (confirmations and retractions).  The
         verdict stream is a pure function of the entry sequence, so
         replay after a crash re-emits the identical tagged verdicts —
         including retractions — and the ledger's ``(seq, k)`` marks
         deduplicate them.
         """
-        stabilizer = self.stabilizer
-        if stabilizer is not None:
-            verdicts: list[VerdictDetection] = []
-            if entry.kind == KIND_EVENT:
-                event = entry.event
-                verdicts.extend(stabilizer.advance_shadow(event.granule))
-                verdicts.extend(stabilizer.offer(event.occurrence()))
-            else:
-                verdicts.extend(stabilizer.advance_shadow(entry.granule))
-                verdicts.extend(stabilizer.announce_all(entry.granule))
-            verdicts.extend(stabilizer.advance_exact())
+        if entry.kind == KIND_EVENT:
+            event = entry.event
+            verdicts = self.engine.apply(event.granule, (event,))
+        else:
+            verdicts = self.engine.advance(entry.granule)
+        seq = entry.seq
+        # An exact step returns no verdicts and leaves what it fired in
+        # ``_fired``; an approximate one returns every emission, its
+        # CONFIRMED ones being the ``_fired`` detections over again.
+        if verdicts:
             tagged = [
-                TaggedDetection(entry.seq, k, verdict.detection, verdict)
+                TaggedDetection(seq, k, verdict.detection, verdict)
                 for k, verdict in enumerate(verdicts)
             ]
         else:
-            detector = self.detector
-            if entry.kind == KIND_EVENT:
-                event = entry.event
-                if event.granule > detector.now_global:
-                    detector.advance_time(event.granule)
-                detector.feed(event.occurrence())
-            elif entry.granule > detector.now_global:
-                detector.advance_time(entry.granule)
             tagged = [
-                TaggedDetection(entry.seq, k, detection)
+                TaggedDetection(seq, k, detection)
                 for k, detection in enumerate(self._fired)
             ]
-        # Tagged above — or, on the anytime path, out as CONFIRMED verdicts.
         self._fired.clear()
-        self.applied_seq = entry.seq
+        self.applied_seq = seq
         return tagged
 
     def snapshot(self) -> dict[str, Any]:
-        """Checkpoint: the applied watermark plus the detector state."""
-        if self.approximate:
-            raise ReproError(
-                "approximate replicas do not checkpoint: recovery is a "
-                "full-WAL replay (verdict emission is deterministic and "
-                "the ledger deduplicates)"
-            )
-        return {
-            "seq": self.applied_seq,
-            "index": self.index,
-            "detector": snapshot_detector(self.detector),
-        }
+        """Checkpoint: the applied watermark plus the detector state
+        (refused when approximate: recovery is a full-WAL replay)."""
+        return {"seq": self.applied_seq, **self.engine.snapshot()}
 
     def restore(self, state: Mapping[str, Any]) -> None:
-        if self.approximate:
-            raise ReproError(
-                "approximate replicas rebuild from the WAL, not from "
-                "checkpoints"
-            )
-        if int(state.get("index", self.index)) != self.index:
-            raise ReproError(
-                f"checkpoint belongs to shard {state['index']}, "
-                f"this is shard {self.index}"
-            )
-        restore_detector(self.detector, dict(state["detector"]))
+        self.engine.restore(state)
         self.applied_seq = int(state["seq"])
 
 

@@ -56,7 +56,9 @@ import struct
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from itertools import groupby
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.detection.detector import Detection
 from repro.errors import CodecError, ReproError
@@ -113,11 +115,16 @@ class ServeEvent:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServeEvent":
         try:
+            global_time, local = int(data["global"]), int(data["local"])
+            if global_time < 0 or local < 0:
+                # Refused here, where outside bytes become an event: a
+                # negative tick can never be stamped (Section 4.1).
+                raise ValueError("timestamp ticks must be non-negative")
             return cls(
                 event_type=str(data["type"]),
                 site=str(data["site"]),
-                global_time=int(data["global"]),
-                local=int(data["local"]),
+                global_time=global_time,
+                local=local,
                 parameters=dict(data.get("parameters") or {}),
             )
         except (KeyError, TypeError, ValueError) as error:
@@ -125,24 +132,16 @@ class ServeEvent:
 
 
 def batch_occurrences(events: Sequence[ServeEvent]) -> list[EventOccurrence]:
-    """Stamp and lift a whole batch of events in one pass.
+    """:meth:`ServeEvent.occurrence` of every event, in order — the one
+    way an event becomes an occurrence, in list form."""
+    return [event.occurrence() for event in events]
 
-    The vectorized counterpart of calling :meth:`ServeEvent.occurrence`
-    per event: all primitive timestamps are constructed by
-    :func:`repro.time.kernels.batch_stamps` (one site-id lookup per
-    distinct site, the packed-key/hash precomputation inlined), which is
-    what makes granule-batch ingest cheaper than N independent calls.
-    """
-    from repro.time.kernels import batch_stamps
 
-    stamps = batch_stamps(
-        (event.site, event.global_time, event.local) for event in events
-    )
-    primitive = EventOccurrence.primitive
-    return [
-        primitive(event.event_type, stamp, event.parameters)
-        for event, stamp in zip(events, stamps)
-    ]
+def granule_runs(events: Iterable[ServeEvent]) -> Iterator[list[ServeEvent]]:
+    """Runs of consecutive events sharing one global granule, order kept:
+    the unit a binary frame carries and a shard applies as one step."""
+    for _, run in groupby(events, key=attrgetter("granule")):
+        yield list(run)
 
 
 # --- JSONL plumbing (shared by JsonlCodec and the control channel) ----------
@@ -777,14 +776,20 @@ class BinaryCodec(Codec):
                 "event frame references an intern-table index out of range"
             ) from None
         if flags & _FLAG_WIDE:
-            # The JSON tick arrays may carry non-integers; the struct
-            # path cannot (u64s decode as ints by construction).
+            # The JSON tick arrays may carry non-integers and negatives;
+            # the struct path cannot (u64s decode as non-negative ints by
+            # construction).
             for event in events:
                 if (
                     type(event.global_time) is not int
                     or type(event.local) is not int
                 ):
                     raise CodecError("malformed wide-tick array")
+                if event.global_time < 0 or event.local < 0:
+                    raise CodecError(
+                        "timestamp ticks must be non-negative, got "
+                        f"global={event.global_time}, local={event.local}"
+                    )
         return events
 
     def encode_batch(self, events: Sequence[ServeEvent]) -> bytes:

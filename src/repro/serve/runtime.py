@@ -33,14 +33,14 @@ import asyncio
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.contexts.policies import Context
-from repro.detection.approximate import Verdict, VerdictDetection
+from repro.detection.approximate import VerdictDetection
 from repro.detection.detector import Detection
 from repro.errors import ReproError
 from repro.events.expressions import EventExpression
 from repro.events.occurrences import EventOccurrence
 from repro.obs.instrument import Instrumentation, resolve
 from repro.serve.config import ServeConfig
-from repro.serve.protocol import ServeEvent
+from repro.serve.protocol import ServeEvent, granule_runs
 from repro.serve.router import EventRouter
 from repro.serve.shard import DetectionShard
 
@@ -108,10 +108,6 @@ class ServingRuntime:
             {shard.index: shard.subscribed_types() for shard in self.shards}
         )
 
-    def rule_names(self) -> list[str]:
-        """Every registered rule name, sorted."""
-        return sorted(self.router.assignments)
-
     # --- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
@@ -127,31 +123,16 @@ class ServingRuntime:
         await self.stop()
 
     async def ingest(self, event: ServeEvent) -> bool:
-        """Route one event to its subscribing shards.
+        """Route one event to its subscribing shards: a batch of one."""
+        return await self.ingest_batch((event,))
+
+    async def ingest_batch(self, events: Sequence[ServeEvent]) -> bool:
+        """Route a whole batch (typically one decoded granule frame).
 
         Returns the backpressure signal: ``True`` if any target shard is
         past its high-water mark after the enqueue.  Events no rule
         subscribes to are counted and dropped — the router knows they
         cannot contribute to any detection.
-        """
-        targets = self.router.route(event.event_type)
-        if not targets:
-            self.events_unrouted += 1
-            return False
-        self.events_ingested += 1
-        pressured = False
-        for index in targets:
-            shard = self.shards[index]
-            await shard.put(event)
-            pressured = shard.under_pressure() or pressured
-        if self.obs.enabled:
-            self.obs.counter("serve.ingested").inc()
-            if pressured:
-                self.obs.counter("serve.pressure").inc()
-        return pressured
-
-    async def ingest_batch(self, events: Sequence[ServeEvent]) -> bool:
-        """Route a whole batch (typically one decoded granule frame).
 
         Routing decisions are memoized per event type across the batch
         and each shard receives its slice as *one* queue item, so a
@@ -266,24 +247,13 @@ class ServingRuntime:
             if verdict.name == name
         ]
 
-    def tentative_of(self, name: str) -> list[VerdictDetection]:
-        """One rule's eager (anytime) emissions."""
-        return [
-            v for v in self.verdicts_of(name)
-            if v.verdict is Verdict.TENTATIVE
-        ]
-
     def unresolved(self) -> int:
         """Tentatives not yet confirmed or retracted, across all shards.
 
         Zero after a clean ``stop()`` — the shutdown flush resolves
         every straggler.
         """
-        return sum(
-            shard.stabilizer.unresolved()
-            for shard in self.shards
-            if shard.stabilizer is not None
-        )
+        return sum(shard.engine.unresolved() for shard in self.shards)
 
     # --- crash recovery ---------------------------------------------------
 
@@ -346,7 +316,6 @@ def serve_events(
     config: ServeConfig | None = None,
     context: Context = Context.UNRESTRICTED,
     horizon: int | None = None,
-    batch: bool = True,
     instrumentation: Instrumentation | None = None,
 ) -> ServingRuntime:
     """Run a finite event stream through a fresh runtime, synchronously.
@@ -360,10 +329,9 @@ def serve_events(
     keywords (this wrapper exists to be terse) folded into a
     :class:`ServeConfig` here; pass ``config=ServeConfig(...)`` for
     anything beyond them, but not both (``TypeError``).  An invalid
-    keyword value raises :class:`~repro.errors.ReproError`.  ``batch``
-    selects granule-batched ingest
-    (:meth:`ServingRuntime.ingest_batch` per granule run) over the
-    per-event path; the detection multiset is identical either way.
+    keyword value raises :class:`~repro.errors.ReproError`.  Ingest is
+    granule-batched: one :meth:`ServingRuntime.ingest_batch` per run of
+    consecutive events sharing a global granule.
     """
     given = {
         name: value
@@ -390,22 +358,8 @@ def serve_events(
 
     async def _run() -> None:
         async with runtime:
-            if batch:
-                # Granule runs become batches: consecutive events sharing
-                # one global granule travel as one ingest_batch call.
-                run: list[ServeEvent] = []
-                granule: int | None = None
-                for event in events:
-                    if granule is not None and event.granule != granule:
-                        await runtime.ingest_batch(run)
-                        run = []
-                    granule = event.granule
-                    run.append(event)
-                if run:
-                    await runtime.ingest_batch(run)
-            else:
-                for event in events:
-                    await runtime.ingest(event)
+            for run in granule_runs(events):
+                await runtime.ingest_batch(run)
             await runtime.drain(horizon)
 
     asyncio.run(_run())

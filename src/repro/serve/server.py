@@ -13,11 +13,11 @@ codec it chose and the connection switches.  With the version-1 binary
 codec, events arrive as whole granule-batch frames
 (:meth:`~repro.serve.protocol.BinaryCodec.decode_batch`) and ingest
 takes the batched path (:meth:`~repro.serve.runtime.ServingRuntime.
-ingest_batch`) — one routing+stamping pass per granule instead of per
-event.  A client that never says hello is a version-0 client and keeps
-working against any server mode; a ``jsonl``-pinned server answers
-every hello with version 0, so a binary-capable client falls back
-cleanly.
+ingest_batch`) — one routing pass, one queue item and one shard step
+per granule instead of per event.  A client that never says hello is a
+version-0 client and keeps working against any server mode; a
+``jsonl``-pinned server answers every hello with version 0, so a
+binary-capable client falls back cleanly.
 
 The stdin transport reads to EOF, drains (advancing the engine clocks
 to one granule past the last event so trailing temporal operators
@@ -280,10 +280,7 @@ async def serve_stdin(
             write_line(_error_line(error))
         if not events:
             return
-        if len(events) == 1:
-            await runtime.ingest(events[0])
-        else:
-            await runtime.ingest_batch(events)
+        await runtime.ingest_batch(events)
         count += len(events)
         granule = max(event.granule for event in events)
         last_granule = (
@@ -362,9 +359,7 @@ async def serve_tcp(
                         write_line(reply)
                     if error is not None:
                         write_line(_error_line(error))
-                    if len(events) == 1:
-                        await runtime.ingest(events[0])
-                    elif events:
+                    if events:
                         await runtime.ingest_batch(events)
                 await writer.drain()
             # A disconnecting client flushes what it sent; time advances

@@ -1,12 +1,22 @@
-"""One detection shard: a bounded queue, a worker, a detector.
+"""One detection shard: the step, and a queue that batches for it.
 
-A :class:`DetectionShard` owns a single-site
-:class:`~repro.detection.detector.Detector` holding the rules the
-router assigned to it, plus a bounded :class:`asyncio.Queue` of incoming
-:class:`~repro.serve.protocol.ServeEvent`\\ s.  The worker coroutine
-accumulates queued events into **granule-aligned batches** — all
-consecutive events whose global time falls in the same ``g_g`` granule —
-and feeds each batch through the detector in one step.
+:class:`ShardEngine` is the shard step, stated once — a single-site
+:class:`~repro.detection.detector.Detector`, its
+:class:`~repro.detection.approximate.ApproximateStabilizer` in
+approximate mode, and the order input is applied in: **advance the
+clock, then feed, then close**.  It is the only code under
+``repro.serve`` that calls ``Detector.feed`` / ``advance_time`` or a
+stabilizer method; its drivers add no detection logic.
+:class:`DetectionShard` (under ``ServingRuntime``, ``serve_stdin``,
+``serve_tcp``) is a bounded :class:`asyncio.Queue`, a worker and the
+batching policy below; :class:`~repro.serve.core.ShardReplica` (under
+the clusters, the workers, tenancy and replay) is one WAL entry per
+step plus ``(seq, k)`` tagging.
+
+The worker coroutine accumulates queued
+:class:`~repro.serve.protocol.ServeEvent`\\ s into **granule-aligned
+batches** — all consecutive events whose global time falls in the same
+``g_g`` granule — and applies each batch to the engine in one step.
 
 Why batching is safe: Definition 4.4 only orders events whose global
 times differ by *more than one* granule, so two events inside one
@@ -18,19 +28,19 @@ it only amortizes the per-event engine entry cost.
 A batch is flushed when (a) an event from a later granule arrives, or
 (b) the queue goes idle — so a quiet stream still sees its detections
 promptly — or (c) the shard drains on shutdown.  Before the batch is
-fed, the shard's engine clock advances to the batch granule, firing any
-due temporal-operator timers exactly as the simulator's granule pump
-does.  Events that arrive *late* (an older granule than the engine
-clock) are fed immediately rather than dropped: the detector clamps
-late timers instead of raising, matching the coordinator's behaviour
-under message delay.
+fed, the engine clock advances to the batch granule, firing any due
+temporal-operator timers exactly as the simulator's granule pump does.
+Events that arrive *late* (an older granule than the engine clock) are
+fed immediately rather than dropped: the detector clamps late timers
+instead of raising, matching the coordinator's behaviour under message
+delay.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.contexts.policies import Context
 from repro.detection.approximate import ApproximateStabilizer, VerdictDetection
@@ -39,29 +49,157 @@ from repro.detection.detector import Detection, Detector
 from repro.errors import ReproError
 from repro.events.expressions import EventExpression
 from repro.obs.instrument import Instrumentation, resolve
-from repro.serve.protocol import ServeEvent, batch_occurrences
+from repro.serve.protocol import ServeEvent
 
 _STOP = object()
 
 
-def shard_engines(
-    timer_ratio: int, approximate: bool, instrumentation: Instrumentation | None
-) -> tuple[Detector, ApproximateStabilizer | None]:
-    """One shard's (or replica's) detector and its anytime stabilizer.
+class ShardEngine:
+    """One shard's detector, its stabilizer when approximate, and the step.
 
-    The detector site is logical, not physical: every shard uses the
+    Synchronous and queue-free.  A step returns the verdicts it emitted
+    — none on the exact path, where the detector has already handed
+    each detection to its owner (the rule's callback, or its log) — and,
+    under enabled instrumentation only, observes ``serve.events`` /
+    ``serve.batch_size`` / ``serve.flush_ns`` (a step carrying events),
+    ``serve.detections`` and ``serve.verdicts``, labelled by shard.
+
+    The detector site is logical, not physical: every engine uses the
     same name so timer stamps (``shard.timer``) stay comparable when an
     elastic re-balance re-homes a rule.  Which shard detected an
     occurrence is carried by the row's index, never by the timestamp.
     """
-    detector = Detector(
-        site="shard", timer_ratio=timer_ratio, instrumentation=instrumentation
-    )
-    if not approximate:
-        return detector, None
-    return detector, ApproximateStabilizer(
-        detector, sites=[], auto_sites=True, instrumentation=instrumentation
-    )
+
+    def __init__(
+        self,
+        index: int,
+        timer_ratio: int = 1,
+        approximate: bool = False,
+        instrumentation: Instrumentation | None = None,
+    ) -> None:
+        self.index = index
+        self.obs = resolve(instrumentation)
+        self.detector = Detector(
+            site="shard", timer_ratio=timer_ratio, instrumentation=instrumentation
+        )
+        self.stabilizer: ApproximateStabilizer | None = None
+        #: Every verdict emitted, in emission order (the stabilizer's log).
+        self.verdicts: list[VerdictDetection] = []
+        if approximate:
+            # Open-world: sites join the watermark set on first contact.
+            self.stabilizer = ApproximateStabilizer(
+                self.detector, sites=[], auto_sites=True,
+                instrumentation=instrumentation,
+            )
+            self.verdicts = self.stabilizer.verdicts
+
+    def register(
+        self,
+        expression: EventExpression | str,
+        name: str,
+        context: Context = Context.UNRESTRICTED,
+        callback: Callable[[Detection], None] | None = None,
+    ) -> None:
+        """Register one rule; ``callback`` owns its detections."""
+        self.detector.register(
+            expression, name=name, context=context, callback=callback
+        )
+
+    def apply(
+        self, granule: int, events: Sequence[ServeEvent]
+    ) -> Sequence[VerdictDetection]:
+        """Apply one granule's events, in order, as one step."""
+        return self._step(granule, events, False)
+
+    def advance(self, granule: int) -> Sequence[VerdictDetection]:
+        """Advance the clock to ``granule`` (an earlier one: nothing).
+
+        In approximate mode this is also the drain-horizon promise:
+        every known site's watermark is announced at ``granule``, so
+        pending tentatives below it resolve.
+        """
+        return self._step(granule, (), True)
+
+    def _step(
+        self, granule: int, events: Sequence[ServeEvent], horizon: bool
+    ) -> Sequence[VerdictDetection]:
+        obs = self.obs
+        started = time.perf_counter_ns() if obs.enabled else 0
+        stabilizer = self.stabilizer
+        fired = 0
+        if stabilizer is None:
+            verdicts = ()
+            detector = self.detector
+            if granule > detector.now_global:
+                fired = len(detector.advance_time(granule))
+            for event in events:
+                fired += len(detector.feed(event.occurrence()))
+        else:
+            # The shadow clock follows the raw stream (tentative timer
+            # fires); the exact clock trails the watermark frontier
+            # (confirmations in stabilized order).
+            verdicts = list(stabilizer.advance_shadow(granule))
+            for event in events:
+                verdicts.extend(stabilizer.offer(event.occurrence()))
+            if horizon:
+                verdicts.extend(stabilizer.announce_all(granule))
+            verdicts.extend(stabilizer.advance_exact())
+        if obs.enabled:
+            shard = self.index
+            if events:
+                obs.histogram("serve.batch_size", shard=shard).observe(len(events))
+                obs.histogram("serve.flush_ns", shard=shard).observe(
+                    time.perf_counter_ns() - started
+                )
+                obs.counter("serve.events", shard=shard).inc(len(events))
+            if fired:
+                obs.counter("serve.detections", shard=shard).inc(fired)
+            self._count_verdicts(verdicts)
+        return verdicts
+
+    def _count_verdicts(self, verdicts: Sequence[VerdictDetection]) -> None:
+        if verdicts and self.obs.enabled:
+            self.obs.counter("serve.verdicts", shard=self.index).inc(len(verdicts))
+
+    def finish(self) -> Sequence[VerdictDetection]:
+        """End of stream: release everything still held, fire exact
+        timers up to where the shadow clock reached, resolve every
+        remaining tentative.  An exact engine holds nothing back."""
+        stabilizer = self.stabilizer
+        if stabilizer is None:
+            return ()
+        verdicts = stabilizer.flush(advance_to=stabilizer.shadow.now_global)
+        self._count_verdicts(verdicts)
+        return verdicts
+
+    def unresolved(self) -> int:
+        """Tentatives not yet confirmed or retracted (exact: none)."""
+        return 0 if self.stabilizer is None else self.stabilizer.unresolved()
+
+    def _exact_detector(self) -> Detector:
+        if self.stabilizer is not None:
+            raise ReproError(
+                "approximate shards neither checkpoint nor restore: the "
+                "stabilizer's held occurrences and pending tentatives are "
+                "not part of the snapshot format; replay the stream "
+                "instead (verdict emission is deterministic)"
+            )
+        return self.detector
+
+    def snapshot(self) -> dict[str, Any]:
+        """``{"index", "detector"}``: what both checkpoint layouts share."""
+        return {"index": self.index, "detector": snapshot(self._exact_detector())}
+
+    def restore(self, state: Mapping[str, Any]) -> None:
+        """Load the :meth:`snapshot` part of a checkpoint of either
+        layout into this identically registered engine."""
+        detector = self._exact_detector()
+        if int(state.get("index", self.index)) != self.index:
+            raise ReproError(
+                f"checkpoint belongs to shard {state['index']}, "
+                f"this is shard {self.index}"
+            )
+        restore(detector, dict(state["detector"]))
 
 
 class DetectionShard:
@@ -80,10 +218,9 @@ class DetectionShard:
         Local ticks per global granule for temporal-operator timers.
     approximate:
         Anytime mode: intake runs through an
-        :class:`~repro.detection.approximate.ApproximateStabilizer`
-        (open-world: sites join its watermark set on first contact), so
-        the shard emits TENTATIVE verdicts immediately and CONFIRMED /
-        RETRACTED verdicts as the watermark frontier closes.  The
+        :class:`~repro.detection.approximate.ApproximateStabilizer`,
+        so the shard emits TENTATIVE verdicts immediately and CONFIRMED
+        / RETRACTED verdicts as the watermark frontier closes.  The
         shard's detector becomes the stabilizer's *exact* engine, so
         :meth:`detections_of` still reports the exact multiset.
     instrumentation:
@@ -111,12 +248,8 @@ class DetectionShard:
         self.index = index
         self.capacity = capacity
         self.high_water = high_water
-        self.obs = resolve(instrumentation)
-        self.detector, self.stabilizer = shard_engines(
-            timer_ratio, approximate, instrumentation
-        )
-        self.approximate = approximate
-        self.verdicts: list[tuple[int, VerdictDetection]] = []
+        self.engine = ShardEngine(index, timer_ratio, approximate, instrumentation)
+        self.detector = self.engine.detector
         #: Streaming hook: called with ``(shard index, verdict)`` for
         #: every verdict emission (the approximate-mode analogue of the
         #: per-rule detection callbacks).
@@ -137,18 +270,14 @@ class DetectionShard:
         context: Context = Context.UNRESTRICTED,
         callback: Callable[[Detection], None] | None = None,
     ) -> None:
-        """Register one rule on this shard's detector."""
-        self.detector.register(
+        """Register one rule on this shard's engine."""
+        self.engine.register(
             expression, name=name, context=context, callback=callback
         )
 
     def subscribed_types(self) -> frozenset[str]:
         """The primitive event types this shard's rules consume."""
         return self.detector.graph.subscribed_event_types()
-
-    def rule_names(self) -> list[str]:
-        """The rules registered on this shard, sorted."""
-        return sorted(self.detector.graph.roots)
 
     def detections_of(self, name: str) -> list:
         """Occurrences of one rule registered on this shard."""
@@ -161,6 +290,14 @@ class DetectionShard:
         shard keeps no copy, so a streamed rule contributes nothing)."""
         index = self.index
         return [(index, detection) for detection in self.detector.detections]
+
+    @property
+    def verdicts(self) -> list[tuple[int, VerdictDetection]]:
+        """``(shard index, verdict)`` pairs in emission order, built
+        when read from the engine's verdict log (the shard keeps no
+        copy; empty on an exact shard)."""
+        index = self.index
+        return [(index, verdict) for verdict in self.engine.verdicts]
 
     # --- ingest side ------------------------------------------------------
 
@@ -175,13 +312,13 @@ class DetectionShard:
 
     async def put(self, event: ServeEvent) -> None:
         """Enqueue one event; suspends while the queue is full."""
-        await self.queue.put(event)
+        await self.queue.put([event])
 
     async def put_batch(self, events: list[ServeEvent]) -> None:
         """Enqueue a whole batch as *one* queue item.
 
-        The batch travels through the queue intact (one slot, one
-        ``task_done``), so a granule decoded from one binary frame is
+        Every queue item is a batch; this one travels intact (one slot,
+        one ``task_done``), so a granule decoded from one binary frame is
         accumulated by the worker in a single wake-up instead of N.
         """
         if events:
@@ -208,11 +345,8 @@ class DetectionShard:
                 self._flush()
                 queue.task_done()
                 return
-            if type(item) is list:
-                for event in item:
-                    self._accumulate(event)
-            else:
-                self._accumulate(item)
+            for event in item:
+                self._accumulate(event)
             if queue.empty():
                 self._flush()
             queue.task_done()
@@ -229,85 +363,47 @@ class DetectionShard:
         self._batch.append(event)
 
     def _flush(self) -> None:
-        """Feed the open batch through the detector; records metrics."""
+        """Apply the open batch to the engine as one step."""
         if not self._batch:
             return
         batch, self._batch = self._batch, []
-        granule = self._batch_granule
-        self._batch_granule = None
-        started = time.perf_counter_ns()
-        detector = self.detector
-        stabilizer = self.stabilizer
-        if stabilizer is not None:
-            # Anytime path: the shadow engine's clock follows the raw
-            # stream (tentative timer fires), the exact engine's clock
-            # trails the watermark frontier (confirmations in
-            # stabilized order).
-            record_verdicts = self._record_verdicts
-            if granule is not None:
-                record_verdicts(stabilizer.advance_shadow(granule))
-            for occurrence in batch_occurrences(batch):
-                record_verdicts(stabilizer.offer(occurrence))
-            record_verdicts(stabilizer.advance_exact())
-        else:
-            fired = 0
-            if granule is not None and granule > detector.now_global:
-                fired = len(detector.advance_time(granule))
-            # One stamping pass for the whole batch (kernels.batch_stamps)
-            # instead of N constructor calls — the ingest-side half of
-            # the granule-batch amortization.  The detector has handed
-            # each detection to its owner; only the count is ours.
-            fired += sum(map(len, map(detector.feed, batch_occurrences(batch))))
-            self._count_detections(fired)
+        granule, self._batch_granule = self._batch_granule, None
+        self._deliver(self.engine.apply(granule, batch))
         self.events_processed += len(batch)
         self.batches_flushed += 1
-        if self.obs.enabled:
-            self.obs.histogram("serve.batch_size", shard=self.index).observe(
-                len(batch)
-            )
-            self.obs.histogram("serve.flush_ns", shard=self.index).observe(
-                time.perf_counter_ns() - started
-            )
-            self.obs.counter("serve.events", shard=self.index).inc(len(batch))
 
-    def _count_detections(self, fired: int) -> None:
-        if fired and self.obs.enabled:
-            self.obs.counter("serve.detections", shard=self.index).inc(fired)
-
-    def _record_verdicts(self, verdicts: list[VerdictDetection]) -> None:
+    def _deliver(self, verdicts: Sequence[VerdictDetection]) -> None:
         sink = self.verdict_sink
-        for verdict in verdicts:
-            self.verdicts.append((self.index, verdict))
-            if sink is not None:
+        if sink is not None:
+            for verdict in verdicts:
                 sink(self.index, verdict)
-        if verdicts and self.obs.enabled:
-            self.obs.counter("serve.verdicts", shard=self.index).inc(
-                len(verdicts)
-            )
 
     def advance_time(self, granule: int) -> None:
         """Advance the engine clock (fires due timers); call only idle.
 
         The runtime invokes this from :meth:`~repro.serve.runtime.
         ServingRuntime.drain` after the queue has joined, so the worker
-        is parked in ``queue.get`` and cannot race the detector.  In
-        approximate mode this is also the drain-horizon promise — every
-        known site's watermark is announced at ``granule``, so pending
-        tentatives below it resolve.
+        is parked in ``queue.get`` and cannot race the detector.
         """
         self._flush()
-        stabilizer = self.stabilizer
-        if stabilizer is not None:
-            self._record_verdicts(stabilizer.advance_shadow(granule))
-            self._record_verdicts(stabilizer.announce_all(granule))
-            self._record_verdicts(stabilizer.advance_exact())
-            return
-        if granule > self.detector.now_global:
-            self._count_detections(len(self.detector.advance_time(granule)))
+        self._deliver(self.engine.advance(granule))
 
     async def drain(self) -> None:
-        """Wait until every queued event has been processed and flushed."""
-        await self.queue.join()
+        """Wait until every queued event has been processed and flushed.
+
+        A worker that died (a rule callback raised) can never finish its
+        queue item, so the wait also ends when the worker does — by
+        raising the worker's exception instead of hanging.
+        """
+        joined = asyncio.ensure_future(self.queue.join())
+        if self._task is not None:
+            await asyncio.wait(
+                {joined, self._task}, return_when=asyncio.FIRST_COMPLETED
+            )
+            if not joined.done():
+                joined.cancel()
+                self._task.result()
+        await joined
         # The worker flushes before task_done when the queue goes idle,
         # so after join() the open batch is empty — but a stopped worker
         # leaves the batch to us.
@@ -315,22 +411,15 @@ class DetectionShard:
             self._flush()
 
     async def stop(self) -> None:
-        """Flush, then terminate the worker (graceful shutdown)."""
-        if self._task is None:
-            self._flush()
-        else:
-            await self.queue.put(_STOP)
-            await self._task
-            self._task = None
-        if self.stabilizer is not None:
-            # End of stream: release everything still held, fire exact
-            # timers up to where the shadow clock reached, and resolve
-            # every remaining tentative one way or the other.
-            self._record_verdicts(
-                self.stabilizer.flush(
-                    advance_to=self.stabilizer.shadow.now_global
-                )
-            )
+        """Flush, terminate the worker, finish the engine (graceful
+        shutdown); raises the worker's exception if it had died."""
+        task, self._task = self._task, None
+        if task is not None:
+            if not task.done():
+                await self.queue.put(_STOP)
+            await task
+        self._flush()  # what a worker that never ran left open
+        self._deliver(self.engine.finish())
 
     # --- crash recovery ---------------------------------------------------
 
@@ -341,43 +430,25 @@ class DetectionShard:
         resumes with zero loss — the serving analogue of the simulator's
         in-flight message snapshot.
         """
-        if self.approximate:
-            raise ReproError(
-                "approximate shards do not checkpoint: the stabilizer's "
-                "held occurrences and pending tentatives are not part "
-                "of the snapshot format"
-            )
         pending = [event.to_dict() for event in self._batch]
         # Queue internals are stable under asyncio's single thread; the
         # snapshot must be taken while the worker is idle (post-drain or
         # pre-start), which the runtime enforces.
         for item in list(self.queue._queue):  # noqa: SLF001
-            if item is _STOP:
-                continue
-            if type(item) is list:
+            if item is not _STOP:
                 pending.extend(event.to_dict() for event in item)
-            else:
-                pending.append(item.to_dict())
         return {
-            "index": self.index,
-            "detector": snapshot(self.detector),
+            **self.engine.snapshot(),
             "pending": pending,
             "events_processed": self.events_processed,
         }
 
     def restore(self, state: Mapping[str, Any]) -> None:
         """Load a checkpoint into this identically-registered shard."""
-        if self.approximate:
-            raise ReproError(
-                "approximate shards do not restore checkpoints; replay "
-                "the stream instead (verdict emission is deterministic)"
-            )
-        if int(state["index"]) != self.index:
-            raise ReproError(
-                f"checkpoint belongs to shard {state['index']}, "
-                f"this is shard {self.index}"
-            )
-        restore(self.detector, dict(state["detector"]))
-        for row in state["pending"]:
-            self.queue.put_nowait(ServeEvent.from_dict(row))
+        self.engine.restore(state)
+        # One batch item whatever the count: a checkpoint flattens queued
+        # batches into events, and one slot each could overflow the queue.
+        pending = [ServeEvent.from_dict(row) for row in state["pending"]]
+        if pending:
+            self.queue.put_nowait(pending)
         self.events_processed = int(state.get("events_processed", 0))

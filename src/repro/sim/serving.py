@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from repro.serve.protocol import Codec, ServeEvent, get_codec, resolve_codec
+from repro.serve.protocol import (
+    Codec,
+    ServeEvent,
+    get_codec,
+    granule_runs,
+    resolve_codec,
+)
 from repro.sim.workloads import WorkloadEvent, uniform_stream
 from repro.time.clocks import ClockEnsemble
 from repro.time.ticks import TimeModel
@@ -140,18 +146,7 @@ class ServingWorkload:
         (safe by Def 4.4: intra-granule order is immaterial for every
         cross-site comparison).
         """
-        batches: list[tuple[ServeEvent, ...]] = []
-        run: list[ServeEvent] = []
-        granule: int | None = None
-        for event in self.events:
-            if granule is not None and event.granule != granule:
-                batches.append(tuple(run))
-                run = []
-            granule = event.granule
-            run.append(event)
-        if run:
-            batches.append(tuple(run))
-        return batches
+        return [tuple(run) for run in granule_runs(self.events)]
 
     def to_jsonl(self) -> str:
         """The stream as JSONL input for ``repro serve --stdin``."""

@@ -28,6 +28,10 @@ Three exports matter:
 * :func:`fast_max_set` and :class:`StampSummary` — the O(n) Definition
   5.1 maxima and the per-composite extrema digest behind the O(|T2|)
   Definition 5.3 relations.
+
+There is no bulk stamp constructor: a hand-inlined batch twin of the
+``PrimitiveTimestamp`` constructor measured slower than it at the batch
+sizes serving sees, and was removed (docs/performance.md).
 """
 
 from __future__ import annotations
@@ -65,57 +69,6 @@ def pack_key(sid: int, global_time: int, local: int) -> int | tuple[int, int, in
     if global_time <= _MAX64 and local <= _MAX64:
         return (sid << 128) | (global_time << 64) | local
     return (sid, global_time, local)
-
-
-# --- bulk stamp construction -------------------------------------------------
-
-
-def batch_stamps(
-    triples: Iterable[tuple[str, int, int]],
-) -> list["PrimitiveTimestamp"]:
-    """Construct primitive timestamps for a whole batch in one pass.
-
-    Equivalent to ``[PrimitiveTimestamp(*t) for t in triples]`` but with
-    the per-stamp overhead hoisted out of the loop: one local binding of
-    the intern table, ``object.__new__`` instead of the validating
-    constructor (validation happens once, inline), and the packed-key
-    fast path taken without a function call for in-range ticks.  This is
-    the serving runtime's granule-batch ingest kernel — a decoded binary
-    frame becomes stamped occurrences through here.
-    """
-    from repro.errors import TimestampError
-    from repro.time.timestamps import PrimitiveTimestamp
-
-    ids = _site_ids
-    new = object.__new__
-    set_field = object.__setattr__
-    out: list[PrimitiveTimestamp] = []
-    append = out.append
-    for site, global_time, local in triples:
-        if local < 0 or global_time < 0:
-            raise TimestampError(
-                f"timestamp ticks must be non-negative, got "
-                f"global={global_time}, local={local} at site {site!r}"
-            )
-        sid = ids.get(site)
-        if sid is None:
-            sid = len(ids)
-            ids[site] = sid
-        if global_time <= _MAX64 and local <= _MAX64:
-            key: int | tuple[int, int, int] = (
-                (sid << 128) | (global_time << 64) | local
-            )
-        else:
-            key = (sid, global_time, local)
-        stamp = new(PrimitiveTimestamp)
-        set_field(stamp, "site", site)
-        set_field(stamp, "global_time", global_time)
-        set_field(stamp, "local", local)
-        set_field(stamp, "_sid", sid)
-        set_field(stamp, "_key", key)
-        set_field(stamp, "_hash", hash((site, global_time, local)))
-        append(stamp)
-    return out
 
 
 # --- pairwise relation -------------------------------------------------------
