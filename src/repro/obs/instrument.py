@@ -47,7 +47,9 @@ unavailable shard), ``serve.failover.unavailable`` (shards declared
 down past the retry budget), ``serve.failover.beats_missed`` /
 ``serve.failover.beats_dropped`` (liveness anomalies), plus histograms
 ``serve.failover.replay_events`` (WAL entries replayed per recovery)
-and ``serve.failover.restart_ns`` (wall time of one recovery).
+and ``serve.failover.restart_ns`` (wall time of one recovery), and the
+per-shard histogram ``serve.wal.retained`` (entries the shard's WAL
+still holds after a checkpoint's truncation).
 """
 
 from __future__ import annotations

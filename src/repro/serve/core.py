@@ -200,6 +200,10 @@ class CheckpointStore:
         self.path = path
         self._memory: list[str] = []  # [current, previous] serialized docs
         self.corrupt_loads = 0
+        #: Truncate the WAL only past this seq: the previous
+        #: generation's, 0 when there is none or it fails its CRC.
+        self.retain_after = 0
+        self._seq = 0  # the current generation's, likewise
         if path is not None:
             for candidate in (path, path + ".prev"):
                 if os.path.exists(candidate):
@@ -207,6 +211,7 @@ class CheckpointStore:
                         self._memory.append(handle.read())
                 else:
                     self._memory.append("")
+            self._seq, self.retain_after = map(self._seq_of, self._memory)
 
     @staticmethod
     def _encode(state: Mapping[str, Any], corrupt: bool) -> str:
@@ -214,7 +219,9 @@ class CheckpointStore:
         crc = zlib.crc32(payload.encode("utf-8"))
         if corrupt:
             crc ^= 0xDEADBEEF
-        return json.dumps({"crc": crc, "state": state}, sort_keys=True)
+        # json.dumps({"crc": crc, "state": state}, sort_keys=True), from
+        # the payload already serialised for the checksum.
+        return f'{{"crc": {crc}, "state": {payload}}}'
 
     @staticmethod
     def _decode(text: str) -> dict[str, Any] | None:
@@ -230,11 +237,19 @@ class CheckpointStore:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
             return None
 
+    @classmethod
+    def _seq_of(cls, text: str) -> int:
+        """The ``seq`` of a serialized generation, 0 if it is not intact."""
+        state = cls._decode(text)
+        return int(state.get("seq", 0)) if state is not None else 0
+
     def save(self, state: Mapping[str, Any], *, corrupt: bool = False) -> None:
         """Persist a new generation (rotating the old one to ``.prev``)."""
         doc = self._encode(state, corrupt)
         previous = self._memory[0] if self._memory else ""
         self._memory = [doc, previous]
+        self.retain_after = self._seq
+        self._seq = 0 if corrupt else int(state.get("seq", 0))
         if self.path is not None:
             if previous:
                 with open(self.path + ".prev.tmp", "w", encoding="utf-8") as h:
@@ -258,16 +273,6 @@ class CheckpointStore:
                 self.corrupt_loads += 1
         return None
 
-    @property
-    def retain_after(self) -> int:
-        """Truncate the WAL only past this seq (previous generation)."""
-        if len(self._memory) < 2:
-            return 0
-        previous = self._decode(self._memory[1])
-        if previous is None:
-            return 0
-        return int(previous.get("seq", 0))
-
     def discard(self) -> None:
         """Forget both generations and remove every file the store writes.
 
@@ -275,6 +280,7 @@ class CheckpointStore:
         can leave: a store reopened at this path loads nothing.
         """
         self._memory = []
+        self._seq = self.retain_after = 0
         if self.path is not None:
             for suffix in ("", ".tmp", ".prev", ".prev.tmp"):
                 if os.path.exists(self.path + suffix):
@@ -636,10 +642,16 @@ class ClusterCore:
         """
         store = self.stores[shard]
         store.save(state, corrupt=self.faults.take_corrupt_checkpoint(shard))
-        self.wals[shard].truncate(store.retain_after)
+        wal = self.wals[shard]
+        wal.truncate(store.retain_after)
         self.checkpoints += 1
         if self.obs.enabled:
             self.obs.counter("serve.failover.checkpoints").inc()
+            # Generation slack plus however far the driver has logged
+            # ahead of what the shard has applied.
+            self.obs.histogram("serve.wal.retained", shard=shard).observe(
+                len(wal)
+            )
 
     # --- recovery --------------------------------------------------------
 

@@ -40,6 +40,12 @@ even when fully covered: it is the durable sequence watermark, so a
 reopened log keeps numbering past the checkpoint instead of restarting
 below it (which would make new entries invisible to recovery's tail
 replay).
+
+A file-backed log keeps, beside each entry, the bytes it stored for it,
+so truncation is a copy of the retained bytes to a temp file and an
+``os.replace`` — no entry is ever encoded twice, and a checkpoint's WAL
+cost does not grow with how far the supervisor runs ahead of its
+worker.
 """
 
 from __future__ import annotations
@@ -144,6 +150,9 @@ class ShardWAL:
         self.codec = resolve_codec(codec)
         self._round_trip = codec is not None
         self._entries: list[WalEntry] = []
+        #: The stored bytes of each entry, in step with ``_entries``
+        #: while file-backed (empty for an in-memory log).
+        self._blobs: list[bytes] = []
         self._next_seq = 1
         self._handle = None
         #: Torn tails healed on load — a final entry truncated mid-write
@@ -169,9 +178,7 @@ class ShardWAL:
         units.extend(splitter.finish())
         for unit in units:
             try:
-                self._entries.append(
-                    WalEntry.decode(unit_codec(unit), unit.payload)
-                )
+                entry = WalEntry.decode(unit_codec(unit), unit.payload)
             except CodecError as error:
                 # Only the stream's very tail may legitimately be
                 # incomplete (a crash mid-append): it is cut off.  An
@@ -181,16 +188,21 @@ class ShardWAL:
                         f"corrupt WAL file {path!r}: {error}"
                     ) from None
                 self.torn_tails += 1
-                self._rewrite()
+                self._rewrite(self._blobs)
+            else:
+                self._entries.append(entry)
+                # Whatever framing the unit came in, a rewrite stores
+                # it in this log's codec.
+                self._blobs.append(entry.encode(self.codec))
         if self._entries:
             self._next_seq = self._entries[-1].seq + 1
 
-    def _rewrite(self) -> None:
-        """Atomically replace the file with the entries held in memory."""
+    def _rewrite(self, blobs: list[bytes]) -> None:
+        """Atomically replace the file with ``blobs``, the stored bytes
+        of the entries it is to hold."""
         tmp = f"{self.path}.tmp"
         with open(tmp, "wb") as handle:
-            for entry in self._entries:
-                handle.write(entry.encode(self.codec))
+            handle.write(b"".join(blobs))
         os.replace(tmp, self.path)
 
     # --- append side -----------------------------------------------------
@@ -229,6 +241,7 @@ class ShardWAL:
         self._entries.append(entry)
         self._next_seq = entry.seq + 1
         if durable:
+            self._blobs.append(blob)
             self._handle.write(blob)
             self._handle.flush()
         return entry
@@ -269,21 +282,32 @@ class ShardWAL:
         when covered: it carries the sequence watermark across a
         close/reopen, so numbering never restarts below a checkpoint.
         """
-        keep = [entry for entry in self._entries if entry.seq > upto_seq]
-        if not keep and self._entries:
-            keep = [self._entries[-1]]
-        dropped = len(self._entries) - len(keep)
-        self._entries = keep
-        if dropped and self._handle is not None:
+        entries = self._entries
+        keep = [n for n, entry in enumerate(entries) if entry.seq > upto_seq]
+        if not keep and entries:
+            keep = [len(entries) - 1]
+        dropped = len(entries) - len(keep)
+        if not dropped:
+            return 0
+        if self._handle is not None:
+            # The file is replaced before memory forgets anything: if
+            # the write or the rename fails, the error propagates with
+            # the log as it was, on disk and in memory, and appendable.
+            blobs = [self._blobs[n] for n in keep]
             self._handle.close()
-            self._rewrite()
-            self._handle = open(self.path, "ab")
+            try:
+                self._rewrite(blobs)
+            finally:
+                self._handle = open(self.path, "ab")
+            self._blobs = blobs
+        self._entries = [entries[n] for n in keep]
         return dropped
 
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+            self._blobs = []  # a closed log writes nothing more
 
     def discard(self) -> None:
         """Close the log and remove every file it writes.

@@ -4,9 +4,13 @@ No asyncio and no subprocess: the core plus plain ``ShardReplica``\\ s
 applied inline, over both backings (in memory and a state directory).
 """
 
+import json
 import os
+import zlib
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.serve import ServeConfig, serve_events
 from repro.serve.core import (
@@ -283,3 +287,94 @@ def test_migration_is_refused_where_state_cannot_move(state_dir):
     with pytest.raises(ReproError, match="approximate"):
         approximate.begin_scale(3)
     assert not approximate.checkpoint_due(approximate.checkpoint_every)
+
+
+def test_checkpoint_observes_what_the_wal_still_holds(state_dir):
+    from repro.obs.instrument import Instrumentation
+
+    obs = Instrumentation()
+    core = make_core(1, state_dir, checkpoint_every=4, instrumentation=obs)
+    driver = Inline(core)
+    events = stream(12, types=("buy", "sell"))
+    # Log everything first, apply afterwards: the driver runs ahead of
+    # the replica the way the live supervisor runs ahead of its worker.
+    logged = [entry for event in events for entry in core.log_event(event)]
+    driver.apply(logged)
+    retained = obs.histogram("serve.wal.retained", shard=0)
+    assert core.checkpoints == retained.count == 3
+    # One generation of slack (4, once there is a previous generation)
+    # plus the run-ahead (all 12 were logged before any was applied):
+    # 12 at seq 4, 4 + 4 at seq 8, 4 + 0 at seq 12.
+    summary = retained.summary()
+    assert (summary["max"], summary["mean"], summary["min"]) == (12, 8, 4)
+    assert len(core.wals[0]) == 4
+
+
+# --- CheckpointStore does each thing once ------------------------------------
+
+
+def reference_document(state, crc_xor=0):
+    payload = json.dumps(state, sort_keys=True)
+    crc = zlib.crc32(payload.encode("utf-8")) ^ crc_xor
+    return json.dumps({"crc": crc, "state": state}, sort_keys=True)
+
+
+json_states = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(1 << 70), 1 << 70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@given(
+    state=st.dictionaries(st.text(max_size=4), json_states, max_size=4),
+    corrupt=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_checkpoint_document_is_the_reference_serialisation(state, corrupt):
+    assert CheckpointStore._encode(state, corrupt) == reference_document(
+        state, 0xDEADBEEF if corrupt else 0
+    )
+
+
+def test_checkpoint_document_matches_the_parent_written_fixtures():
+    fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+    with open(os.path.join(fixtures, "shard0.ckpt"), encoding="utf-8") as h:
+        written = h.read()
+    # The parent's bytes, reproduced from the state they hold.
+    state = json.loads(written)["state"]
+    assert CheckpointStore._encode(state, False) == written
+    for name in ("replica_checkpoint.json", "runtime_checkpoint.json"):
+        with open(os.path.join(fixtures, name), encoding="utf-8") as handle:
+            doc = json.load(handle)
+        assert CheckpointStore._encode(doc, False) == reference_document(doc)
+
+
+def test_retain_after_is_remembered_not_reparsed(tmp_path, monkeypatch):
+    path = str(tmp_path / "shard0.ckpt")
+    store = CheckpointStore(path)
+    decodes = []
+    real = CheckpointStore._decode
+    monkeypatch.setattr(
+        CheckpointStore,
+        "_decode",
+        staticmethod(lambda text: decodes.append(1) or real(text)),
+    )
+    watermarks = []
+    for seq, corrupt in [(4, False), (9, True), (12, False), (20, False)]:
+        store.save({"seq": seq}, corrupt=corrupt)
+        watermarks.append(store.retain_after)
+    # A generation that fails its CRC covers nothing when it is rotated.
+    assert watermarks == [0, 4, 0, 12] and decodes == []
+    reopened = CheckpointStore(path)
+    assert reopened.retain_after == 12 and len(decodes) == 2
+    store.save({"seq": 31}, corrupt=True)
+    store.save({"seq": 40})
+    assert CheckpointStore(path).retain_after == store.retain_after == 0
+    store.discard()
+    assert store.retain_after == 0 and CheckpointStore(path).retain_after == 0
