@@ -5,10 +5,10 @@
   through the ``Max`` operator (Section 5.2).
 * :mod:`repro.detection.graph` — event-graph construction from Snoop
   expressions with common-subexpression sharing.
-* :mod:`repro.detection.detector` — the per-site detection engine: feed
+* :mod:`repro.detection.detector` — the detection engine: feed
   primitive occurrences, advance the clock, collect detections.
-* :mod:`repro.detection.coordinator` — the distributed engine: operator
-  placement across sites and cross-site event propagation.
+* :mod:`repro.detection.coordinator` — that engine placed over sites:
+  operator placement and cross-site event propagation.
 * :mod:`repro.detection.stabilizer` — watermark parking for exact
   in-order evaluation of out-of-order streams.
 * :mod:`repro.detection.approximate` — the anytime layer: eager

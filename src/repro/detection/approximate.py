@@ -285,11 +285,7 @@ class ApproximateStabilizer(Stabilizer):
         picks the new roots up on the next intake, before any
         occurrence reaches it.
         """
-        missing = self.detector._registrations[
-            len(self.shadow._registrations):
-        ]
-        for expression, name, context in missing:
-            self.shadow.register(expression, name=name, context=context)
+        self.detector.copy_rules_to(self.shadow)
 
     def _tentative(self, detection: Detection) -> VerdictDetection:
         verdict = VerdictDetection(

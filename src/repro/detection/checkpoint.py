@@ -9,6 +9,12 @@ JSON-compatible dictionary and restores it into a freshly constructed
 detector with the **same registrations** (expressions and contexts are
 code, not state; re-register them, then call :func:`restore`).
 
+The site is a dimension of the one layout, not a second format: an
+engine with one site writes ``site`` / ``now_global`` / ``nodes`` /
+``plus_timers``; an engine placed over several writes ``"kind":
+"distributed"`` with a clock per site, each Plus timer's site, and the
+messages still in its outbox.  :func:`restore` reads either.
+
 Occurrence identity: uids are process-local, so restored occurrences get
 fresh uids while preserving structure (type, timestamp, parameters,
 provenance).  Everything else — buffer order, window progress, timer
@@ -24,23 +30,10 @@ from typing import Any
 
 from repro.errors import DetectionError
 from repro.events.occurrences import EventOccurrence
+from repro.detection.coordinator import DistributedDetector, Message
 from repro.detection.detector import Detector
-from repro.detection.nodes import (
-    AndNode,
-    AperiodicNode,
-    AperiodicStarNode,
-    FilterNode,
-    Node,
-    NotNode,
-    OrNode,
-    PeriodicNode,
-    PlusNode,
-    PrimitiveNode,
-    SequenceNode,
-    TimesNode,
-    _Window,
-)
-from repro.time.composite import CompositeTimestamp, max_of_many
+from repro.detection.nodes import Node, PeriodicNode, PlusNode, TimesNode, _Window
+from repro.time.composite import CompositeTimestamp
 from repro.time.timestamps import PrimitiveTimestamp
 
 FORMAT_VERSION = 1
@@ -95,37 +88,8 @@ def _node_key(node: Node) -> str:
 
 
 def _dump_node(node: Node) -> dict[str, Any] | None:
-    if isinstance(node, SequenceNode):
-        return {
-            "kind": "sequence",
-            "firsts": [occurrence_to_dict(o) for o in node._firsts],
-            "seconds": [occurrence_to_dict(o) for o in node._seconds],
-        }
-    if isinstance(node, AndNode):
-        return {
-            "kind": "and",
-            "left": [occurrence_to_dict(o) for o in node._buffers["left"]],
-            "right": [occurrence_to_dict(o) for o in node._buffers["right"]],
-        }
-    if isinstance(node, NotNode):
-        return {
-            "kind": "not",
-            "openers": [occurrence_to_dict(o) for o in node._openers],
-            "negated": [occurrence_to_dict(o) for o in node._negated],
-            "closers": [occurrence_to_dict(o) for o in node._closers],
-        }
-    if isinstance(node, AperiodicNode):
-        return {
-            "kind": "aperiodic",
-            "openers": [occurrence_to_dict(o) for o in node._openers],
-            "closers": [occurrence_to_dict(o) for o in node._closers],
-        }
-    if isinstance(node, AperiodicStarNode):
-        return {
-            "kind": "aperiodic_star",
-            "openers": [occurrence_to_dict(o) for o in node._openers],
-            "bodies": [occurrence_to_dict(o) for o in node._bodies],
-        }
+    """A node's dynamic state, or ``None`` for a node that holds none
+    (Or, Filter, leaves; a Plus node's state lives in the timer heap)."""
     if isinstance(node, PeriodicNode):
         return {
             "kind": "periodic",
@@ -139,51 +103,26 @@ def _dump_node(node: Node) -> dict[str, Any] | None:
                 if not window.closed
             ],
         }
-    if isinstance(node, TimesNode):
-        return {
-            "kind": "times",
-            "pending": [occurrence_to_dict(o) for o in node._pending],
-        }
-    if isinstance(node, (OrNode, FilterNode, PrimitiveNode, PlusNode)):
-        return None  # stateless (Plus state lives in the timer heap)
-    raise DetectionError(f"cannot checkpoint node type {type(node).__name__}")
+    buffers = node.buffers()
+    if not buffers:
+        return None
+    return {
+        "kind": _state_kind(node),
+        **{key: [occurrence_to_dict(o) for o in b] for key, b in buffers.items()},
+    }
+
+
+def _state_kind(node: Node) -> str:
+    return node.kind.replace("*", "_star")
 
 
 def _load_node(node: Node, state: dict[str, Any]) -> None:
-    if isinstance(node, SequenceNode) and state["kind"] == "sequence":
-        node._firsts = [occurrence_from_dict(o) for o in state["firsts"]]
-        node._seconds = [occurrence_from_dict(o) for o in state["seconds"]]
-        return
-    if isinstance(node, AndNode) and state["kind"] == "and":
-        node._buffers["left"] = [occurrence_from_dict(o) for o in state["left"]]
-        node._buffers["right"] = [occurrence_from_dict(o) for o in state["right"]]
-        return
-    if isinstance(node, NotNode) and state["kind"] == "not":
-        node._openers = [occurrence_from_dict(o) for o in state["openers"]]
-        node._negated = [occurrence_from_dict(o) for o in state["negated"]]
-        node._closers = [occurrence_from_dict(o) for o in state["closers"]]
-        return
-    if isinstance(node, AperiodicNode) and state["kind"] == "aperiodic":
-        node._openers = [occurrence_from_dict(o) for o in state["openers"]]
-        node._closers = [occurrence_from_dict(o) for o in state["closers"]]
-        return
-    if isinstance(node, AperiodicStarNode) and state["kind"] == "aperiodic_star":
-        node._openers = [occurrence_from_dict(o) for o in state["openers"]]
-        node._bodies = [occurrence_from_dict(o) for o in state["bodies"]]
-        return
-    if isinstance(node, TimesNode) and state["kind"] == "times":
-        node._pending = [occurrence_from_dict(o) for o in state["pending"]]
-        # Rebuild the running-Max accumulator the node folds per arrival;
-        # leaving it None would make the first post-restore batch emit a
-        # timestamp that ignores the restored constituents (found by the
-        # conformance fuzzer's checkpoint-continuity check).
-        node._acc = (
-            max_of_many(o.timestamp for o in node._pending)
-            if node._pending
-            else None
+    if state.get("kind") != _state_kind(node):
+        raise DetectionError(
+            f"checkpoint state kind {state.get('kind')!r} does not match node "
+            f"{type(node).__name__}"
         )
-        return
-    if isinstance(node, PeriodicNode) and state["kind"] == "periodic":
+    if isinstance(node, PeriodicNode):
         node._windows = []
         for window_state in state["windows"]:
             window = _Window(
@@ -193,61 +132,119 @@ def _load_node(node: Node, state: dict[str, Any]) -> None:
             window.ticks = [occurrence_from_dict(t) for t in window_state["ticks"]]
             node._windows.append(window)
         return
-    raise DetectionError(
-        f"checkpoint state kind {state.get('kind')!r} does not match node "
-        f"{type(node).__name__}"
-    )
+    for key, buffer in node.buffers().items():
+        buffer[:] = [occurrence_from_dict(o) for o in state[key]]
+    if isinstance(node, TimesNode):
+        # Leaving the running Max unset would make the first post-restore
+        # batch emit a timestamp that ignores the restored constituents
+        # (found by the conformance fuzzer's checkpoint-continuity check).
+        node.refold()
 
 
-# --- detector snapshot / restore ------------------------------------------------------
+# --- engine snapshot / restore ----------------------------------------------------------
+
+
+def message_to_dict(engine: DistributedDetector, message: Message) -> dict[str, Any]:
+    """One in-flight message as an ``outbox`` entry of a snapshot."""
+    return {
+        "src": message.src,
+        "dst": message.dst,
+        "node": _node_key(engine._nodes_by_id[message.node_id]),
+        "role": message.role,
+        "occurrence": occurrence_to_dict(message.occurrence),
+    }
 
 
 def snapshot(detector: Detector) -> dict[str, Any]:
-    """Capture a detector's dynamic state as a JSON-compatible dict."""
+    """Capture an engine's dynamic state as a JSON-compatible dict.
+
+    Covers every node's buffers, the clocks and pending timers and, for
+    an engine placed over several sites, the messages not yet delivered.
+    Registrations are code: the restoring process must re-register the
+    same expressions (same names, contexts, and placement-relevant site
+    homes) before calling :func:`restore`.
+    """
     nodes: dict[str, Any] = {}
     for node in detector.graph.nodes():
         state = _dump_node(node)
         if state is not None:
             nodes[_node_key(node)] = state
-    plus_timers = [
-        {
-            "fire_global": fire_global,
-            "node": _node_key(node),
-            "base": occurrence_to_dict(payload),
+    placed = len(detector.sites) > 1
+    plus_timers = []
+    for site, fire_global, node, payload in detector.iter_timers():
+        if isinstance(node, PlusNode):
+            timer = {
+                "fire_global": fire_global,
+                "node": _node_key(node),
+                "base": occurrence_to_dict(payload),
+            }
+            plus_timers.append({"site": site, **timer} if placed else timer)
+    if not placed:
+        return {
+            "version": FORMAT_VERSION,
+            "site": detector.site,
+            "now_global": detector.now_global,
+            "nodes": nodes,
+            "plus_timers": plus_timers,
         }
-        for fire_global, _, node, payload in detector._timer_heap
-        if isinstance(node, PlusNode)
-    ]
     return {
         "version": FORMAT_VERSION,
-        "site": detector.site,
-        "now_global": detector.now_global,
+        "kind": "distributed",
+        "now_global": dict(detector._clocks),
         "nodes": nodes,
         "plus_timers": plus_timers,
+        "outbox": [message_to_dict(detector, m) for m in detector.outbox],
     }
 
 
-def restore(detector: Detector, data: dict[str, Any]) -> None:
-    """Load a snapshot into a detector with identical registrations.
+def rearm_windows(detector: Detector, node: Node) -> None:
+    """Periodic windows re-arm their own timers from their loaded state."""
+    if isinstance(node, PeriodicNode):
+        for window in node._windows:
+            if not window.closed:
+                detector.schedule(node, window.next_tick, window)
 
-    The detector must have the same expressions registered (same names
-    and contexts); unknown node keys in the snapshot raise
+
+def restore(detector: Detector, data: dict[str, Any]) -> None:
+    """Load a snapshot into an engine with identical registrations.
+
+    The engine must have the same expressions registered (same names,
+    contexts and homes); unknown node keys in the snapshot raise
     :class:`DetectionError` so drift between code and checkpoint is loud.
     """
     if data.get("version") != FORMAT_VERSION:
         raise DetectionError(
             f"unsupported checkpoint version {data.get('version')!r}"
         )
+    placed = data.get("kind") == "distributed"
+    if not placed and len(detector.sites) > 1:
+        raise DetectionError(
+            "a one-site checkpoint cannot be restored into an engine placed "
+            f"over {len(detector.sites)} sites"
+        )
     by_key = {_node_key(node): node for node in detector.graph.nodes()}
-    for key, state in data["nodes"].items():
+
+    def node_of(key: str, what: str) -> Node:
         node = by_key.get(key)
         if node is None:
-            name = key.split("::")[0]
             raise DetectionError(
-                f"checkpoint contains state for unregistered node {name!r}"
+                f"checkpoint contains {what} for unregistered node "
+                f"{key.split('::')[0]!r}"
             )
-        _load_node(node, state)
-    detector.now_global = int(data["now_global"])
+        return node
+
+    for key, state in data["nodes"].items():
+        _load_node(node_of(key, "state"), state)
+    if placed:
+        unknown = sorted(set(data["now_global"]) - set(detector.sites))
+        if unknown:
+            raise DetectionError(
+                f"checkpoint holds clocks of sites {unknown} this engine lacks"
+            )
+        for site, now in data["now_global"].items():
+            detector._clocks[site] = int(now)
+    else:
+        detector.now_global = int(data["now_global"])
     for timer in data["plus_timers"]:
         node = by_key.get(timer["node"])
         if not isinstance(node, PlusNode):
@@ -257,11 +254,17 @@ def restore(detector: Detector, data: dict[str, Any]) -> None:
         detector.schedule(
             node, int(timer["fire_global"]), occurrence_from_dict(timer["base"])
         )
-    # Periodic windows re-arm their own timers.
     for node in detector.graph.nodes():
-        if isinstance(node, PeriodicNode):
-            for window in node._windows:
-                detector.schedule(node, window.next_tick, window)
+        rearm_windows(detector, node)
+    for entry in data.get("outbox", ()):
+        node = node_of(entry["node"], "a message")
+        detector._enqueue(
+            entry["src"],
+            entry["dst"],
+            detector._node_ids[node],
+            entry["role"],
+            occurrence_from_dict(entry["occurrence"]),
+        )
 
 
 def save_checkpoint(detector: Detector, path: str) -> None:
@@ -274,110 +277,3 @@ def load_checkpoint(detector: Detector, path: str) -> None:
     """Restore from a JSON file written by :func:`save_checkpoint`."""
     with open(path, "r", encoding="utf-8") as handle:
         restore(detector, json.load(handle))
-
-
-# --- distributed coordinator snapshot / restore ------------------------------
-
-
-def snapshot_distributed(detector) -> dict[str, Any]:
-    """Capture a :class:`DistributedDetector`'s dynamic state.
-
-    Covers every node's buffers, per-site clocks and timers, and the
-    in-flight outbox (messages not yet delivered).  Like the local
-    variant, registrations are code: the restoring process must
-    re-register the same expressions (same names, contexts, and
-    placement-relevant site homes) before calling
-    :func:`restore_distributed`.
-    """
-    from repro.detection.coordinator import DistributedDetector
-
-    assert isinstance(detector, DistributedDetector)
-    nodes: dict[str, Any] = {}
-    for node in detector.graph.nodes():
-        state = _dump_node(node)
-        if state is not None:
-            nodes[_node_key(node)] = state
-    plus_timers = []
-    for site, heap in detector._timer_heaps.items():
-        for fire_global, _, node, payload in heap:
-            if isinstance(node, PlusNode):
-                plus_timers.append(
-                    {
-                        "site": site,
-                        "fire_global": fire_global,
-                        "node": _node_key(node),
-                        "base": occurrence_to_dict(payload),
-                    }
-                )
-    outbox = [
-        {
-            "src": message.src,
-            "dst": message.dst,
-            "node": _node_key(detector._nodes_by_id[message.node_id]),
-            "role": message.role,
-            "occurrence": occurrence_to_dict(message.occurrence),
-        }
-        for message in detector.outbox
-    ]
-    return {
-        "version": FORMAT_VERSION,
-        "kind": "distributed",
-        "now_global": dict(detector._now_global),
-        "nodes": nodes,
-        "plus_timers": plus_timers,
-        "outbox": outbox,
-    }
-
-
-def restore_distributed(detector, data: dict[str, Any]) -> None:
-    """Load a distributed snapshot into an identically-registered engine."""
-    from repro.detection.coordinator import DistributedDetector, Message
-
-    assert isinstance(detector, DistributedDetector)
-    if data.get("version") != FORMAT_VERSION or data.get("kind") != "distributed":
-        raise DetectionError("not a distributed checkpoint of a supported version")
-    by_key = {_node_key(node): node for node in detector.graph.nodes()}
-    for key, state in data["nodes"].items():
-        node = by_key.get(key)
-        if node is None:
-            raise DetectionError(
-                f"checkpoint contains state for unregistered node "
-                f"{key.split('::')[0]!r}"
-            )
-        _load_node(node, state)
-    for site, now in data["now_global"].items():
-        if site in detector._now_global:
-            detector._now_global[site] = int(now)
-    for timer in data["plus_timers"]:
-        node = by_key.get(timer["node"])
-        if not isinstance(node, PlusNode):
-            raise DetectionError(
-                f"checkpoint timer references non-Plus node {timer['node']!r}"
-            )
-        detector.schedule_at(
-            timer["site"],
-            node,
-            int(timer["fire_global"]),
-            occurrence_from_dict(timer["base"]),
-        )
-    for node in detector.graph.nodes():
-        if isinstance(node, PeriodicNode):
-            site = detector._timer_site_binding.get(node, detector.coordinator)
-            for window in node._windows:
-                detector.schedule_at(site, node, window.next_tick, window)
-    for entry in data["outbox"]:
-        node = by_key.get(entry["node"])
-        if node is None:
-            raise DetectionError(
-                f"outbox message targets unregistered node {entry['node']!r}"
-            )
-        detector.outbox.append(
-            Message(
-                src=entry["src"],
-                dst=entry["dst"],
-                node_id=detector._node_ids[node],
-                role=entry["role"],
-                occurrence=occurrence_from_dict(entry["occurrence"]),
-                seq=next(detector._message_seq),
-            )
-        )

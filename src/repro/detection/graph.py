@@ -132,8 +132,6 @@ class EventGraph:
         expression: EventExpression,
         name: str | None = None,
         context: Context = Context.UNRESTRICTED,
-        timer_site: str = "__timer__",
-        timer_ratio: int = 1,
     ) -> Node:
         """Compile ``expression`` into the graph and register its root.
 
@@ -143,7 +141,7 @@ class EventGraph:
         fire.
         """
         nodes_before = {id(node) for node in self._shared.values()}
-        root = self._compile(expression, context, timer_site, timer_ratio)
+        root = self._compile(expression, context)
         label = name if name is not None else str(expression)
         existing = self.roots.get(label)
         if existing is not None:
@@ -176,33 +174,21 @@ class EventGraph:
     def _subscribe(self, child: Node, parent: Node, role: str) -> None:
         self.edges.setdefault(child, []).append(Edge(child, parent, role))
 
-    def _compile(
-        self,
-        expression: EventExpression,
-        context: Context,
-        timer_site: str,
-        timer_ratio: int,
-    ) -> Node:
+    def _compile(self, expression: EventExpression, context: Context) -> Node:
         if isinstance(expression, Primitive):
             return self.primitive_node(expression.name)
         key = (expression, context)
         node = self._shared.get(key)
         if node is not None:
             return node
-        node = self._make_node(expression, context, timer_site, timer_ratio)
+        node = self._make_node(expression, context)
         self._shared[key] = node
         for child_expression, role in _child_roles(expression):
-            child = self._compile(child_expression, context, timer_site, timer_ratio)
+            child = self._compile(child_expression, context)
             self._subscribe(child, node, role)
         return node
 
-    def _make_node(
-        self,
-        expression: EventExpression,
-        context: Context,
-        timer_site: str,
-        timer_ratio: int,
-    ) -> Node:
+    def _make_node(self, expression: EventExpression, context: Context) -> Node:
         name = str(expression)
         if isinstance(expression, Or):
             return OrNode(name, context)
@@ -218,21 +204,11 @@ class EventGraph:
             return AperiodicStarNode(name, context)
         if isinstance(expression, Periodic):
             return PeriodicNode(
-                name,
-                period=expression.period,
-                cumulative=False,
-                context=context,
-                timer_site=timer_site,
-                timer_ratio=timer_ratio,
+                name, period=expression.period, cumulative=False, context=context
             )
         if isinstance(expression, PeriodicStar):
             return PeriodicNode(
-                name,
-                period=expression.period,
-                cumulative=True,
-                context=context,
-                timer_site=timer_site,
-                timer_ratio=timer_ratio,
+                name, period=expression.period, cumulative=True, context=context
             )
         if isinstance(expression, Plus):
             return PlusNode(name, offset=expression.offset, context=context)

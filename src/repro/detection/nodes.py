@@ -41,7 +41,6 @@ ROLE_OPENER = "opener"
 ROLE_BODY = "body"
 ROLE_CLOSER = "closer"
 ROLE_NEGATED = "negated"
-ROLE_TICK = "tick"
 
 
 class TimerService(Protocol):
@@ -82,10 +81,6 @@ class Node:
         """Handle a timer tick (temporal nodes only)."""
         raise DetectionError(f"node {self.name!r} does not accept timers")
 
-    def roles(self) -> tuple[str, ...]:
-        """The roles this node accepts."""
-        raise NotImplementedError
-
     def prune_before(self, global_time: int) -> int:
         """Drop buffered occurrences entirely before ``global_time``.
 
@@ -96,11 +91,17 @@ class Node:
         horizon).  Returns the number of occurrences dropped; stateless
         nodes return 0.
         """
-        return 0
+        return sum(_prune_list(b, global_time) for b in self.buffers().values())
 
     def buffered(self) -> int:
         """Occurrences this node currently holds (0 for stateless nodes)."""
-        return 0
+        return sum(len(b) for b in self.buffers().values())
+
+    def buffers(self) -> dict[str, list[EventOccurrence]]:
+        """The occurrence buffers this node holds, by checkpoint key: what
+        pruning, counting and checkpointing each walk.  Stateless nodes
+        have none."""
+        return {}
 
     def _emit(
         self,
@@ -171,9 +172,6 @@ class PrimitiveNode(Node):
     def __init__(self, name: str) -> None:
         super().__init__(name)
 
-    def roles(self) -> tuple[str, ...]:
-        return (ROLE_LEFT,)
-
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         return [occurrence]
 
@@ -182,9 +180,6 @@ class OrNode(Node):
     """Disjunction: emit on any arrival from either side."""
 
     kind = "or"
-
-    def roles(self) -> tuple[str, ...]:
-        return (ROLE_LEFT, ROLE_RIGHT)
 
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         return [self._emit((occurrence,))]
@@ -207,9 +202,6 @@ class FilterNode(Node):
     ) -> None:
         super().__init__(name, context)
         self.predicate = predicate
-
-    def roles(self) -> tuple[str, ...]:
-        return (ROLE_LEFT,)
 
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         if not self.predicate(dict(occurrence.parameters)):
@@ -234,9 +226,6 @@ class AndNode(Node):
             ROLE_RIGHT: [],
         }
 
-    def roles(self) -> tuple[str, ...]:
-        return (ROLE_LEFT, ROLE_RIGHT)
-
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         if role not in self._buffers:
             raise DetectionError(f"AndNode {self.name!r} got unknown role {role!r}")
@@ -260,13 +249,8 @@ class AndNode(Node):
         self._buffers[role].append(occurrence)
         return detections
 
-    def prune_before(self, global_time: int) -> int:
-        return _prune_list(self._buffers[ROLE_LEFT], global_time) + _prune_list(
-            self._buffers[ROLE_RIGHT], global_time
-        )
-
-    def buffered(self) -> int:
-        return len(self._buffers[ROLE_LEFT]) + len(self._buffers[ROLE_RIGHT])
+    def buffers(self) -> dict[str, list[EventOccurrence]]:
+        return self._buffers
 
 
 class SequenceNode(Node):
@@ -283,9 +267,6 @@ class SequenceNode(Node):
         super().__init__(name, context)
         self._firsts: list[EventOccurrence] = []
         self._seconds: list[EventOccurrence] = []
-
-    def roles(self) -> tuple[str, ...]:
-        return (ROLE_FIRST, ROLE_SECOND)
 
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         if role == ROLE_FIRST:
@@ -310,13 +291,8 @@ class SequenceNode(Node):
             return detections
         raise DetectionError(f"SequenceNode {self.name!r} got unknown role {role!r}")
 
-    def prune_before(self, global_time: int) -> int:
-        return _prune_list(self._firsts, global_time) + _prune_list(
-            self._seconds, global_time
-        )
-
-    def buffered(self) -> int:
-        return len(self._firsts) + len(self._seconds)
+    def buffers(self) -> dict[str, list[EventOccurrence]]:
+        return {"firsts": self._firsts, "seconds": self._seconds}
 
 
 class NotNode(Node):
@@ -334,9 +310,6 @@ class NotNode(Node):
         self._openers: list[EventOccurrence] = []
         self._negated: list[EventOccurrence] = []
         self._closers: list[EventOccurrence] = []
-
-    def roles(self) -> tuple[str, ...]:
-        return (ROLE_OPENER, ROLE_NEGATED, ROLE_CLOSER)
 
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         if role == ROLE_OPENER:
@@ -364,15 +337,12 @@ class NotNode(Node):
             return detections
         raise DetectionError(f"NotNode {self.name!r} got unknown role {role!r}")
 
-    def prune_before(self, global_time: int) -> int:
-        return (
-            _prune_list(self._openers, global_time)
-            + _prune_list(self._negated, global_time)
-            + _prune_list(self._closers, global_time)
-        )
-
-    def buffered(self) -> int:
-        return len(self._openers) + len(self._negated) + len(self._closers)
+    def buffers(self) -> dict[str, list[EventOccurrence]]:
+        return {
+            "openers": self._openers,
+            "negated": self._negated,
+            "closers": self._closers,
+        }
 
     def _pair_late_opener(self, opener: EventOccurrence) -> list[EventOccurrence]:
         """Out-of-order support: an opener arriving after its closer."""
@@ -407,9 +377,6 @@ class AperiodicNode(Node):
         self._openers: list[EventOccurrence] = []
         self._closers: list[EventOccurrence] = []
 
-    def roles(self) -> tuple[str, ...]:
-        return (ROLE_OPENER, ROLE_BODY, ROLE_CLOSER)
-
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         if role == ROLE_OPENER:
             self._openers.append(occurrence)
@@ -431,13 +398,8 @@ class AperiodicNode(Node):
             return [self._emit((*group, occurrence)) for group in selection.groups]
         raise DetectionError(f"AperiodicNode {self.name!r} got unknown role {role!r}")
 
-    def prune_before(self, global_time: int) -> int:
-        return _prune_list(self._openers, global_time) + _prune_list(
-            self._closers, global_time
-        )
-
-    def buffered(self) -> int:
-        return len(self._openers) + len(self._closers)
+    def buffers(self) -> dict[str, list[EventOccurrence]]:
+        return {"openers": self._openers, "closers": self._closers}
 
     def _window_closed(
         self, opener: EventOccurrence, body: EventOccurrence
@@ -462,9 +424,6 @@ class AperiodicStarNode(Node):
         super().__init__(name, context)
         self._openers: list[EventOccurrence] = []
         self._bodies: list[EventOccurrence] = []
-
-    def roles(self) -> tuple[str, ...]:
-        return (ROLE_OPENER, ROLE_BODY, ROLE_CLOSER)
 
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         if role == ROLE_OPENER:
@@ -505,13 +464,8 @@ class AperiodicStarNode(Node):
             f"AperiodicStarNode {self.name!r} got unknown role {role!r}"
         )
 
-    def prune_before(self, global_time: int) -> int:
-        return _prune_list(self._openers, global_time) + _prune_list(
-            self._bodies, global_time
-        )
-
-    def buffered(self) -> int:
-        return len(self._openers) + len(self._bodies)
+    def buffers(self) -> dict[str, list[EventOccurrence]]:
+        return {"openers": self._openers, "bodies": self._bodies}
 
 
 class TimesNode(Node):
@@ -533,9 +487,6 @@ class TimesNode(Node):
         # n-th arrival emits without rescanning the accumulated batch.
         self._acc: CompositeTimestamp | None = None
 
-    def roles(self) -> tuple[str, ...]:
-        return (ROLE_BODY,)
-
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         if role != ROLE_BODY:
             raise DetectionError(f"TimesNode {self.name!r} got unknown role {role!r}")
@@ -556,18 +507,23 @@ class TimesNode(Node):
             self._emit(batch, parameters={"count": self.count}, timestamp=stamp)
         ]
 
+    def buffers(self) -> dict[str, list[EventOccurrence]]:
+        return {"pending": self._pending}
+
     def prune_before(self, global_time: int) -> int:
-        dropped = _prune_list(self._pending, global_time)
+        dropped = super().prune_before(global_time)
         if dropped:
-            self._acc = (
-                max_of_many(o.timestamp for o in self._pending)
-                if self._pending
-                else None
-            )
+            self.refold()
         return dropped
 
-    def buffered(self) -> int:
-        return len(self._pending)
+    def refold(self) -> None:
+        """Rebuild the running Max after the pending batch was replaced
+        (pruned, or restored from a checkpoint)."""
+        self._acc = (
+            max_of_many(o.timestamp for o in self._pending)
+            if self._pending
+            else None
+        )
 
 
 class _Window:
@@ -599,23 +555,16 @@ class PeriodicNode(Node):
         period: int,
         cumulative: bool,
         context: Context = Context.UNRESTRICTED,
-        timer_site: str = "__timer__",
-        timer_ratio: int = 1,
     ) -> None:
         super().__init__(name, context)
         self.period = period
         self.cumulative = cumulative
-        self.timer_site = timer_site
-        self.timer_ratio = timer_ratio
         self._timers: TimerService | None = None
         self._windows: list[_Window] = []
 
     def bind_timers(self, timers: TimerService) -> None:
         """Attach the engine's timer service (done at graph build)."""
         self._timers = timers
-
-    def roles(self) -> tuple[str, ...]:
-        return (ROLE_OPENER, ROLE_CLOSER)
 
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         if role == ROLE_OPENER:
@@ -701,9 +650,6 @@ class PlusNode(Node):
     def bind_timers(self, timers: TimerService) -> None:
         """Attach the engine's timer service (done at graph build)."""
         self._timers = timers
-
-    def roles(self) -> tuple[str, ...]:
-        return (ROLE_OPENER,)
 
     def receive(self, occurrence: EventOccurrence, role: str) -> list[EventOccurrence]:
         if role != ROLE_OPENER:

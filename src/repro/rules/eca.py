@@ -128,8 +128,9 @@ class RuleManager:
         self._definition_order[name] = next(self._order_seq)
         self._by_event.setdefault(event_name, []).append(rule)
         if len(self._by_event[event_name]) == 1:
-            self.detector._callbacks.setdefault(event_name, []).append(
-                lambda detection, en=event_name: self._on_detection(en, detection)
+            self.detector.subscribe(
+                event_name,
+                lambda detection, en=event_name: self._on_detection(en, detection),
             )
         return rule
 

@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.detection.checkpoint import _dump_node, _load_node
+from repro.detection.checkpoint import _dump_node, _load_node, rearm_windows
 from repro.detection.detector import Detector
-from repro.detection.nodes import PeriodicNode, PlusNode
+from repro.detection.nodes import PlusNode
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,17 +101,10 @@ def graft_detector(
             # (it advanced to the boundary first), so what is left is
             # strictly future work.
             if isinstance(target_node, PlusNode):
-                for fire_global, _, node, payload in source._timer_heap:
+                for _, fire_global, node, payload in source.iter_timers():
                     if node is source_node:
                         target.schedule(target_node, fire_global, payload)
-            # Periodic windows re-arm their own timers from the loaded
-            # window state, mirroring checkpoint restore.
-            elif isinstance(target_node, PeriodicNode):
-                for window in target_node._windows:
-                    if not window.closed:
-                        target.schedule(
-                            target_node, window.next_tick, window
-                        )
+            rearm_windows(target, target_node)
         # Alias nodes (duplicate-expression registrations) are not in
         # the shared map; match them by rule name.  They are currently
         # stateless pass-throughs, but a future stateful alias would

@@ -181,11 +181,14 @@ class DistributedSystem:
         :class:`~repro.detection.detector.Detection`.
         """
         root = self.detector.register(
-            expression, name=name, context=context, placement=placement
+            expression,
+            name=name,
+            context=context,
+            placement=placement,
+            callback=self._record,
         )
-        self.detector._callbacks.setdefault(root.name, []).append(self._record)
         if callback is not None:
-            self.detector._callbacks[root.name].append(callback)
+            self.detector.subscribe(root.name, callback)
         return root
 
     def subscribe(
@@ -290,10 +293,10 @@ class DistributedSystem:
                 uid=occurrence.uid,
             ) as span:
                 self._injection_spans[occurrence.uid] = span.id
-                self.detector.feed_occurrence(occurrence)
+                self.detector.feed(occurrence)
                 self._drain_outbox()
         else:
-            self.detector.feed_occurrence(occurrence)
+            self.detector.feed(occurrence)
             if self.detector.outbox:
                 self._drain_outbox()
 
@@ -307,7 +310,7 @@ class DistributedSystem:
         now = self.engine.now
         granule = (now.numerator * self._gg_den) // (now.denominator * self._gg_num)
         detector = self.detector
-        if granule != self._last_granule or detector._pending_timers:
+        if granule != self._last_granule or detector.pending_timers():
             self._last_granule = granule
             detector.advance_time(granule)
         if detector.outbox:
@@ -389,7 +392,7 @@ class DistributedSystem:
     def checkpoint(self) -> dict[str, Any]:
         """Snapshot the detector *and* the messages still on the wire.
 
-        Extends :func:`repro.detection.checkpoint.snapshot_distributed`
+        Extends :func:`repro.detection.checkpoint.snapshot`
         with the in-flight messages this system is tracking — including
         a message waiting out a retransmission timeout, which lives only
         in an engine closure and would otherwise be lost.  The snapshot
@@ -397,24 +400,11 @@ class DistributedSystem:
         system via :meth:`restore_checkpoint`; in-flight messages are
         folded into the snapshot's outbox and re-sent on restore.
         """
-        from repro.detection.checkpoint import (
-            _node_key,
-            occurrence_to_dict,
-            snapshot_distributed,
-        )
+        from repro.detection.checkpoint import message_to_dict, snapshot
 
-        state = snapshot_distributed(self.detector)
-        nodes_by_id = self.detector._nodes_by_id
+        state = snapshot(self.detector)
         for message in sorted(self._inflight.values(), key=lambda m: m.seq):
-            state["outbox"].append(
-                {
-                    "src": message.src,
-                    "dst": message.dst,
-                    "node": _node_key(nodes_by_id[message.node_id]),
-                    "role": message.role,
-                    "occurrence": occurrence_to_dict(message.occurrence),
-                }
-            )
+            state["outbox"].append(message_to_dict(self.detector, message))
         now = self.engine.now
         state["true_time"] = [now.numerator, now.denominator]
         return state
@@ -427,9 +417,9 @@ class DistributedSystem:
         in-flight traffic at snapshot time — are re-sent through this
         system's network; call :meth:`run` afterwards to deliver them.
         """
-        from repro.detection.checkpoint import restore_distributed
+        from repro.detection.checkpoint import restore
 
-        restore_distributed(self.detector, dict(state))
+        restore(self.detector, dict(state))
         true_time = state.get("true_time")
         if true_time is not None:
             t = Fraction(int(true_time[0]), int(true_time[1]))
@@ -479,8 +469,8 @@ class DistributedSystem:
         Replays the stamped history (injection order — per-site FIFO by
         construction, since each site's clock is monotone in true time)
         through a :class:`~repro.detection.stabilizer.Stabilizer` over a
-        :meth:`~repro.detection.coordinator.DistributedDetector.
-        local_clone`, advancing the clone's clock with the watermark
+        :meth:`~repro.detection.detector.Detector.clone` of the
+        detector, advancing the clone's clock with the watermark
         frontier so timer-driven operators fire in stabilized order.
         Live records matching the exact multiset become CONFIRMED, the
         rest RETRACTED; exact detections the live run never signalled
@@ -494,7 +484,7 @@ class DistributedSystem:
             raise SimulationError(
                 "confirm() requires SimConfig(approximate=True)"
             )
-        twin = self.detector.local_clone("__confirm__")
+        twin = self.detector.clone(site="__confirm__")
         stabilizer = Stabilizer(twin, sites=list(self.sites))
         exact: list[Detection] = []
         for occurrence in self.history:

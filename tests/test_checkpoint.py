@@ -191,11 +191,6 @@ class TestDistributedCheckpoint:
         return detector
 
     def test_round_trip_with_in_flight_messages(self):
-        from repro.detection.checkpoint import (
-            restore_distributed,
-            snapshot_distributed,
-        )
-
         first = self.build()
         first.feed("a", ts("s1", 2, 20))
         first.pump()
@@ -203,39 +198,32 @@ class TestDistributedCheckpoint:
         # is deliberately left in flight across the checkpoint.
         first.feed("b", ts("s2", 9, 90))
         assert len(first.outbox) >= 1
-        state = snapshot_distributed(first)
+        state = snapshot(first)
 
         second = self.build()
-        restore_distributed(second, state)
+        restore(second, state)
         second.pump()
         assert len(second.detections_of("seq")) == 1
 
     def test_distributed_timers_restored(self):
-        from repro.detection.checkpoint import (
-            restore_distributed,
-            snapshot_distributed,
-        )
-
         first = self.build()
         first.feed("a", ts("s1", 3, 30))
         first.pump()
-        state = snapshot_distributed(first)
+        state = snapshot(first)
 
         second = self.build()
-        restore_distributed(second, state)
+        restore(second, state)
         detections = second.advance_time(8)
         assert any(d.name == "later" for d in detections)
 
     def test_wrong_kind_rejected(self):
         import pytest as _pytest
 
-        from repro.detection.checkpoint import restore_distributed, snapshot
-
         first = build_detector()
         local_state = snapshot(first)
         distributed = self.build()
         with _pytest.raises(DetectionError):
-            restore_distributed(distributed, local_state)
+            restore(distributed, local_state)
 
 
 class TestSystemCheckpointUnderFault:
