@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 T = TypeVar("T")
 Ordering = Callable[[T, T], bool]
@@ -24,16 +24,61 @@ def multiset_diff(
 ) -> tuple[list[T], list[T]]:
     """Multiset difference: (missing from actual, extra in actual).
 
-    The oracle-scoring primitive of the conformance runner: detector
-    output is compared against the denotational oracle as multisets of
-    canonical timestamp strings, and the two sorted remainder lists name
-    exactly which occurrences diverged.  Both lists empty ⇔ equal.
+    The primitive under :func:`detection_mismatch`: two runs' detections
+    are compared as multisets of canonical timestamp strings, and the
+    two sorted remainder lists name exactly which occurrences diverged.
+    Both lists empty ⇔ equal.
     """
     want = Counter(expected)
     got = Counter(actual)
     missing = sorted((want - got).elements())
     extra = sorted((got - want).elements())
     return missing, extra
+
+
+def detection_multiset(stamps: Iterable[object]) -> list[str]:
+    """The comparison key of one rule's detections: each composite
+    timestamp's ``repr``, sorted.
+
+    ``repr(CompositeTimestamp)`` lists the member triples sorted, so two
+    runs that detect the same occurrences produce the same list whatever
+    their emission order; it equals ``str``, so multisets stored before
+    this key was shared (the tenancy manifest) keep their bytes.
+    """
+    return sorted(repr(stamp) for stamp in stamps)
+
+
+def timestamps_multiset(occurrences: Iterable[Any]) -> list[str]:
+    """:func:`detection_multiset` of detected occurrences (anything with
+    a ``timestamp``)."""
+    return detection_multiset(occurrence.timestamp for occurrence in occurrences)
+
+
+def detection_mismatch(
+    expected: Mapping[str, Sequence[str]],
+    actual: Mapping[str, Sequence[str]],
+    label: str = "",
+) -> str | None:
+    """Compare two runs' per-rule detection multisets; ``None`` if equal.
+
+    "Same history, two configurations, same detections" — the claim
+    every differential leg and serving selftest makes — stated once.
+    Both sides map a rule name to its :func:`detection_multiset`; a rule
+    only one side has compares against an empty multiset.  The first
+    mismatching rule (``expected``'s order, then ``actual``'s) is
+    described as ``"<rule> <label>: missing=[...] extra=[...]"`` with
+    the first three keys of each remainder; an empty rule name or label
+    is left out of the prefix.
+    """
+    for rule in {**expected, **actual}:
+        missing, extra = multiset_diff(
+            expected.get(rule, ()), actual.get(rule, ())
+        )
+        if missing or extra:
+            where = " ".join(part for part in (rule, label) if part)
+            prefix = f"{where}: " if where else ""
+            return f"{prefix}missing={missing[:3]} extra={extra[:3]}"
+    return None
 
 
 def comparability_rate(universe: Sequence[T], ordering: Ordering) -> Fraction:

@@ -55,12 +55,6 @@ class Bench:
     ``setup(quick)`` builds the workload and returns ``(kernel, ops)``
     where ``kernel()`` performs ``ops`` operations of whatever unit the
     benchmark counts (Max folds, events fed, relation classifications).
-
-    ``extra``, when set, receives the kernel's return value from the
-    final timed round and returns additional metrics merged into the
-    result entry (and so into ``BENCH_<label>.json``) — for benchmarks
-    whose headline number is a quality metric (a latency reduction, a
-    hit rate) rather than raw throughput.
     """
 
     name: str
@@ -68,7 +62,6 @@ class Bench:
     setup: Callable[[bool], tuple[Callable[[], object], int]]
     rounds: int = 5
     quick_rounds: int = 3
-    extra: Callable[[object], dict[str, float]] | None = None
 
 
 # --- kernels ----------------------------------------------------------------
@@ -239,289 +232,6 @@ def _setup_inject(quick: bool):
     return kernel, len(events)
 
 
-def _serving_setup(shards: int):
-    """Shared builder for the serving throughput scenarios."""
-
-    def setup(quick: bool):
-        from repro.serve import serve_events
-        from repro.sim.serving import ServingWorkload
-
-        workload = ServingWorkload.standard(
-            seed=41, events=300 if quick else 1_200
-        )
-
-        def kernel() -> int:
-            runtime = serve_events(
-                workload.rules,
-                workload,
-                shards=shards,
-                timer_ratio=workload.timer_ratio,
-                horizon=workload.horizon(),
-            )
-            return runtime.events_ingested
-
-        return kernel, len(workload)
-
-    return setup
-
-
-def _codec_setup(codec_name: str):
-    """Shared builder for the wire-codec throughput scenarios.
-
-    Measures the full wire path — encode a granule batch to bytes, split
-    the byte stream back into units, decode the units into events — for
-    one codec over the standard serving workload at a saturated event
-    rate (400/s, so granules carry ~40 events: the regime the binary
-    protocol exists for — JSONL pays its JSON cost per event regardless
-    of rate, while binary amortizes framing over whole granule batches).
-    The binary/jsonl ratio is the wire protocol's acceptance number.
-    """
-
-    def setup(quick: bool):
-        from repro.serve.protocol import StreamDecoder, get_codec
-        from repro.sim.serving import ServingWorkload
-
-        # Unlike the end-to-end serving benches, one kernel pass is
-        # milliseconds even at full size, so quick mode keeps the full
-        # workload (only the round count drops): tiny streams flatter
-        # JSONL by fitting per-event overhead into warm caches.
-        workload = ServingWorkload.standard(
-            seed=41, events=1_200, rate_per_second=400
-        )
-        batches = [list(batch) for batch in workload.granule_batches()]
-        codec = get_codec(codec_name)
-        count = len(workload)
-
-        jsonl = get_codec("jsonl")
-
-        def kernel() -> int:
-            blob = b"".join(codec.encode_batch(batch) for batch in batches)
-            splitter = StreamDecoder()
-            decoded = 0
-            for unit in splitter.feed(blob) + splitter.finish():
-                if unit.kind == "frame":
-                    decoded += len(codec.decode_batch(unit.payload))
-                elif unit.kind == "line":
-                    decoded += len(jsonl.decode_batch(unit.payload))
-            if decoded != count:
-                raise RuntimeError(
-                    f"{codec_name} round trip lost events: "
-                    f"{decoded} != {count}"
-                )
-            return decoded
-
-        return kernel, count
-
-    return setup
-
-
-def _setup_serve_failover(quick: bool):
-    """Failover overhead: the in-process cluster under periodic kills.
-
-    Same standard workload as the serving benches, but run through
-    :class:`~repro.serve.cluster.LocalFailoverCluster` with WAL +
-    checkpointing on and a fault plan killing every shard once
-    mid-stream — so the number measures the steady-state price of
-    logging/checkpointing plus three checkpoint-restore-replay cycles.
-    """
-    from repro.serve.cluster import FaultPlan, replay_with_failover
-    from repro.sim.serving import ServingWorkload
-
-    workload = ServingWorkload.standard(seed=41, events=300 if quick else 1_200)
-    count = len(workload)
-    plan = FaultPlan(
-        kills=((0, count // 4), (1, count // 2), (2, (3 * count) // 4))
-    )
-
-    def kernel() -> int:
-        cluster = replay_with_failover(
-            workload.rules,
-            workload,
-            shards=3,
-            timer_ratio=workload.timer_ratio,
-            horizon=workload.horizon(),
-            checkpoint_every=32,
-            fault_plan=plan,
-        )
-        return cluster.events_applied
-
-    return kernel, count
-
-
-def _setup_serve_netfault(quick: bool):
-    """Partition-tolerance overhead: the session harness under faults.
-
-    The standard workload through the sans-IO netfault harness with a
-    seeded plan of drops, duplicates, resets, and stalls on every
-    shard's link — so the number prices the resumable-session protocol
-    (frame numbering, ack bookkeeping, codec round-trips) plus the
-    scripted resume handshakes and replay storms, on top of raw shard
-    detection.
-    """
-    from repro.serve.netfault import NetFaultPlan, replay_with_netfault
-    from repro.sim.serving import ServingWorkload
-
-    workload = ServingWorkload.standard(seed=43, events=300 if quick else 1_200)
-    count = len(workload)
-    plan = NetFaultPlan.from_seed(
-        43, frames=count * 2, drops=4, dups=4, resets=2, stalls=0
-    )
-
-    def kernel() -> int:
-        report = replay_with_netfault(
-            workload.rules,
-            list(workload),
-            shards=3,
-            timer_ratio=workload.timer_ratio,
-            horizon=workload.horizon(),
-            plan=plan,
-            codec="binary",
-        )
-        return len(report.rows)
-
-    return kernel, count
-
-
-def _setup_serve_rebalance(quick: bool):
-    """Elastic re-balancing overhead: scale 2 -> 4 -> 3 mid-stream.
-
-    The standard workload through the in-process cluster with WAL +
-    checkpointing on, re-hashed onto a new shard count twice (at the
-    thirds of the stream) — so the number prices two full granule-
-    boundary migrations (handoff snapshot, detector graft, WAL reseed)
-    on top of the steady logging cost.
-    """
-    from repro.serve.cluster import replay_with_failover
-    from repro.sim.serving import ServingWorkload
-
-    workload = ServingWorkload.standard(seed=47, events=300 if quick else 1_200)
-    count = len(workload)
-
-    def kernel() -> int:
-        cluster = replay_with_failover(
-            workload.rules,
-            workload,
-            shards=2,
-            timer_ratio=workload.timer_ratio,
-            horizon=workload.horizon(),
-            checkpoint_every=32,
-            scale_plan=((count // 3, 4), ((2 * count) // 3, 3)),
-        )
-        if cluster.rebalances != 2:
-            raise RuntimeError(
-                f"expected 2 re-balances, saw {cluster.rebalances}"
-            )
-        return cluster.events_applied
-
-    return kernel, count
-
-
-def _setup_serve_tenants(quick: bool):
-    """Multi-tenant overhead: 4 tenants, quotas, and one shard kill.
-
-    The standard workload striped across four tenant namespaces through
-    :class:`~repro.serve.tenancy.MultiTenantCluster` — envelope-lane
-    logging on every arrival, token-bucket admission (tight enough to
-    park a slice of the stream each granule), and a mid-stream kill —
-    so the number prices namespacing + quota accounting + the envelope
-    log on top of the failover tier the other serve benches measure.
-    """
-    from repro.serve.cluster import FaultPlan
-    from repro.serve.tenancy import TenantQuota, serve_tenants
-    from repro.sim.serving import ServingWorkload
-
-    workload = ServingWorkload.standard(seed=41, events=300 if quick else 1_200)
-    count = len(workload)
-    tenants = tuple(f"t{i}" for i in range(4))
-    stream = [
-        (tenants[i % len(tenants)], event)
-        for i, event in enumerate(workload)
-    ]
-
-    def kernel() -> int:
-        cluster = serve_tenants(
-            {tenant: dict(workload.rules) for tenant in tenants},
-            stream,
-            shards=3,
-            timer_ratio=workload.timer_ratio,
-            quota=TenantQuota(rate=16, burst=24),
-            horizon=workload.horizon(),
-            checkpoint_every=32,
-            fault_plan=FaultPlan(kills=((0, count // 2),)),
-        )
-        applied = cluster.cluster.events_applied
-        cluster.close()
-        return applied
-
-    return kernel, count
-
-
-def _setup_serve_approx(quick: bool):
-    """Anytime detection-latency win of approximate mode.
-
-    A :class:`~repro.sim.monitor_site.StabilizedMonitor` over a
-    high-drift clock ensemble in approximate mode: every detection is
-    signalled twice, TENTATIVE the instant its terminator arrives and
-    CONFIRMED once the ``2g_g`` stabilization window closes.  The
-    ``extra`` metrics compare the mean true-time detection latency of
-    the two emissions — ``latency_reduction`` (confirmed over
-    tentative) is the anytime payoff this mode exists for, gated in
-    perf-smoke.  The kernel raises when the win disappears, so a
-    regression fails loudly even before baseline comparison.
-    """
-    from repro.detection.approximate import Verdict
-    from repro.sim.monitor_site import StabilizedMonitor
-    from repro.sim.workloads import uniform_stream
-
-    sites = ["s1", "s2", "s3"]
-    rng = random.Random(53)
-    events = uniform_stream(
-        rng, sites, ["a", "b"], rate_per_second=20,
-        duration_seconds=15 if quick else 60,
-    )
-
-    def kernel() -> dict[str, float]:
-        monitor = StabilizedMonitor(
-            sites, seed=53, heartbeat_granules=5, approximate=True
-        )
-        monitor.register("a ; b", name="seq")
-        monitor.inject(events)
-        monitor.run()
-        monitor.drain()
-        tentative = [
-            float(r.latency)
-            for r in monitor.detections_of("seq")
-            if r.verdict is Verdict.TENTATIVE
-        ]
-        confirmed = [
-            float(r.latency)
-            for r in monitor.detections_of("seq")
-            if r.verdict is Verdict.CONFIRMED
-        ]
-        if not tentative or not confirmed:
-            raise RuntimeError("approximate run produced no detections")
-        tentative_mean = sum(tentative) / len(tentative)
-        confirmed_mean = sum(confirmed) / len(confirmed)
-        if tentative_mean >= confirmed_mean:
-            raise RuntimeError(
-                f"no anytime latency win: tentative {tentative_mean:.3f}s "
-                f">= confirmed {confirmed_mean:.3f}s"
-            )
-        return {
-            "detections": float(len(confirmed)),
-            "tentative_latency_s": tentative_mean,
-            "confirmed_latency_s": confirmed_mean,
-            "latency_reduction": confirmed_mean / tentative_mean,
-        }
-
-    return kernel, len(events)
-
-
-def _approx_metrics(value: object) -> dict[str, float]:
-    """The kernel's return value already is the metrics dict."""
-    return dict(value)  # type: ignore[call-overload]
-
-
 BENCHMARKS: dict[str, Bench] = {
     bench.name: bench
     for bench in (
@@ -555,70 +265,6 @@ BENCHMARKS: dict[str, Bench] = {
             title="bulk injection + event-loop drain (no detection)",
             setup=_setup_inject,
         ),
-        Bench(
-            name="bench_serve_shard1",
-            title="serving runtime throughput, 1 shard",
-            setup=_serving_setup(1),
-            rounds=3,
-            quick_rounds=2,
-        ),
-        Bench(
-            name="bench_serve_shard4",
-            title="serving runtime throughput, 4 shards",
-            setup=_serving_setup(4),
-            rounds=3,
-            quick_rounds=2,
-        ),
-        Bench(
-            name="bench_serve_codec_jsonl",
-            title="wire round trip, v0 JSONL (encode+split+decode)",
-            setup=_codec_setup("jsonl"),
-            rounds=20,
-            quick_rounds=12,
-        ),
-        Bench(
-            name="bench_serve_codec_binary",
-            title="wire round trip, v1 binary granule frames",
-            setup=_codec_setup("binary"),
-            rounds=20,
-            quick_rounds=12,
-        ),
-        Bench(
-            name="bench_serve_failover",
-            title="failover cluster: WAL + checkpoints + 3 shard kills",
-            setup=_setup_serve_failover,
-            rounds=3,
-            quick_rounds=2,
-        ),
-        Bench(
-            name="bench_serve_netfault",
-            title="partitioned links: resumable sessions under a fault plan",
-            setup=_setup_serve_netfault,
-            rounds=3,
-            quick_rounds=2,
-        ),
-        Bench(
-            name="bench_serve_rebalance",
-            title="elastic cluster: two live re-balances (2 -> 4 -> 3)",
-            setup=_setup_serve_rebalance,
-            rounds=3,
-            quick_rounds=2,
-        ),
-        Bench(
-            name="bench_serve_tenants",
-            title="multi-tenant cluster: 4 namespaces, quotas, 1 kill",
-            setup=_setup_serve_tenants,
-            rounds=3,
-            quick_rounds=2,
-        ),
-        Bench(
-            name="bench_serve_approx",
-            title="anytime detection: tentative vs confirmed latency",
-            setup=_setup_serve_approx,
-            rounds=3,
-            quick_rounds=2,
-            extra=_approx_metrics,
-        ),
     )
 }
 
@@ -635,7 +281,7 @@ def run_suite(
     for name in selected:
         bench = BENCHMARKS[name]
         kernel, ops = bench.setup(quick)
-        value = kernel()  # warm-up: JIT-free but primes caches and allocators
+        kernel()  # warm-up: JIT-free but primes caches and allocators
         best = float("inf")
         rounds = bench.quick_rounds if quick else bench.rounds
         # Collector pauses land inside individual rounds and best-of
@@ -646,7 +292,7 @@ def run_suite(
         try:
             for _ in range(rounds):
                 start = time.perf_counter()
-                value = kernel()
+                kernel()
                 best = min(best, time.perf_counter() - start)
         finally:
             if was_enabled:
@@ -657,8 +303,6 @@ def run_suite(
             "seconds": best,
             "ops_per_sec": ops / best if best > 0 else float("inf"),
         }
-        if bench.extra is not None:
-            results[name].update(bench.extra(value))
     return results
 
 

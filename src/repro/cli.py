@@ -30,6 +30,11 @@ import argparse
 import sys
 from typing import Sequence
 
+from repro.analysis.metrics import (
+    detection_mismatch,
+    detection_multiset,
+    timestamps_multiset,
+)
 from repro.analysis.properties import check_all
 from repro.contexts.policies import Context
 from repro.errors import ReproError
@@ -40,6 +45,15 @@ from repro.sim.config import SimConfig
 from repro.sim.trace import load_trace
 from repro.time.composite import CompositeTimestamp, composite_relation
 from repro.time.regions import render_grid
+
+
+def _selftest_line(line: str, mismatch: str | None) -> int:
+    """Print one rule's selftest verdict, with the first mismatch on a
+    failure; returns the failure count (0 or 1)."""
+    print(f"[{'ok ' if mismatch is None else 'FAIL'}] {line}")
+    if mismatch is not None:
+        print(f"       {mismatch}")
+    return int(mismatch is not None)
 
 
 def parse_stamp(text: str) -> CompositeTimestamp:
@@ -197,15 +211,11 @@ def _cmd_replay_store(args: argparse.Namespace) -> int:
         )
     failures = 0
     for name in sorted(recorded):
-        rebuilt = sorted(
-            str(occurrence.timestamp)
-            for occurrence in detections.get(name, [])
-        )
-        matched = rebuilt == list(recorded[name])
-        failures += not matched
-        print(
-            f"[{'ok ' if matched else 'FAIL'}] {name}: replayed "
-            f"{len(rebuilt)} detection(s), recorded {len(recorded[name])}"
+        rebuilt = timestamps_multiset(detections.get(name, []))
+        failures += _selftest_line(
+            f"{name}: replayed {len(rebuilt)} detection(s), recorded "
+            f"{len(recorded[name])}",
+            detection_mismatch({name: recorded[name]}, {name: rebuilt}),
         )
     print(f"replay check: {'FAILED' if failures else 'passed'}")
     return 1 if failures else 0
@@ -439,20 +449,14 @@ def _cmd_serve_cluster(args: argparse.Namespace, rules: dict[str, str]) -> int:
 
         failures = 0
         for name in sorted(rules):
-            cluster_multiset = sorted(
-                repr(sorted(repr(t) for t in stamps))
-                for stamps in supervisor.timestamps_of(name)
-            )
-            baseline_multiset = sorted(
-                repr(sorted(repr(t) for t in occurrence.timestamp))
-                for occurrence in baseline.detections_of(name)
-            )
-            marker = "ok " if cluster_multiset == baseline_multiset else "FAIL"
-            failures += cluster_multiset != baseline_multiset
-            print(
-                f"[{marker}] {name}: procs={args.procs} -> "
-                f"{len(cluster_multiset)} detections, in-process -> "
-                f"{len(baseline_multiset)}"
+            cluster_multiset = detection_multiset(supervisor.timestamps_of(name))
+            baseline_multiset = timestamps_multiset(baseline.detections_of(name))
+            failures += _selftest_line(
+                f"{name}: procs={args.procs} -> {len(cluster_multiset)} "
+                f"detections, in-process -> {len(baseline_multiset)}",
+                detection_mismatch(
+                    {name: baseline_multiset}, {name: cluster_multiset}
+                ),
             )
         print(
             f"cluster selftest over {len(workload)} events: "
@@ -528,11 +532,6 @@ def _cmd_serve_tenants(args: argparse.Namespace, rules: dict[str, str]) -> int:
             state_dir=state_dir,
         )
 
-        def multiset(occurrences) -> list[str]:
-            return sorted(
-                str(occurrence.timestamp) for occurrence in occurrences
-            )
-
         failures = 0
         for tenant in tenants:
             solo_events = [
@@ -548,15 +547,15 @@ def _cmd_serve_tenants(args: argparse.Namespace, rules: dict[str, str]) -> int:
             )
             replayed = cluster.replay(tenant, upto=horizon)
             for name in sorted(rules):
-                live = multiset(cluster.detections_of(tenant, name))
-                solo = multiset(baseline.detections_of(name))
-                rebuilt = multiset(replayed[name])
-                matched = live == solo and live == rebuilt
-                failures += not matched
-                print(
-                    f"[{'ok ' if matched else 'FAIL'}] {tenant}/{name}: "
-                    f"live={len(live)} solo={len(solo)} "
-                    f"replay={len(rebuilt)} detection(s)"
+                key = f"{tenant}/{name}"
+                live = {key: timestamps_multiset(cluster.detections_of(tenant, name))}
+                solo = {key: timestamps_multiset(baseline.detections_of(name))}
+                rebuilt = {key: timestamps_multiset(replayed[name])}
+                failures += _selftest_line(
+                    f"{key}: live={len(live[key])} solo={len(solo[key])} "
+                    f"replay={len(rebuilt[key])} detection(s)",
+                    detection_mismatch(solo, live, "live vs solo")
+                    or detection_mismatch(live, rebuilt, "replay vs live"),
                 )
         status = cluster.status()
         throttled = sum(
@@ -753,21 +752,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
             horizon=horizon,
         )
 
-        def multiset(runtime: ServingRuntime, name: str) -> list[str]:
-            return sorted(
-                repr(sorted(repr(t) for t in occurrence.timestamp))
-                for occurrence in runtime.detections_of(name)
-            )
-
         failures = 0
         for name in sorted(rules):
-            left = multiset(sharded, name)
-            right = multiset(baseline, name)
-            marker = "ok " if left == right else "FAIL"
-            failures += left != right
-            print(
-                f"[{marker}] {name}: shards={args.shards} -> {len(left)} "
-                f"detections, shards=1 -> {len(right)}"
+            left = timestamps_multiset(sharded.detections_of(name))
+            right = timestamps_multiset(baseline.detections_of(name))
+            failures += _selftest_line(
+                f"{name}: shards={args.shards} -> {len(left)} "
+                f"detections, shards=1 -> {len(right)}",
+                detection_mismatch({name: right}, {name: left}),
             )
         if args.approximate:
             from repro.detection.approximate import Verdict
@@ -854,12 +846,6 @@ def cmd_scale(args: argparse.Namespace) -> int:
         config=ServeConfig(shards=1, timer_ratio=workload.timer_ratio),
         horizon=horizon,
     )
-
-    def canonical(stamp_rows) -> list[str]:
-        return sorted(
-            repr(sorted(repr((str(s), int(g), int(l))) for s, g, l in stamps))
-            for stamps in stamp_rows
-        )
 
     events = list(workload)
     # Scale points spread evenly across the stream: with K steps the
@@ -968,18 +954,14 @@ def cmd_scale(args: argparse.Namespace) -> int:
             f"map of {supervisor.router.shards}: {', '.join(stale)}"
         )
     for name in sorted(rules):
-        cluster_multiset = canonical(
-            row["timestamp"] for row in supervisor.detection_rows(name)
-        )
-        baseline_multiset = canonical(
-            [(t.site, t.global_time, t.local) for t in occurrence.timestamp]
-            for occurrence in baseline.detections_of(name)
-        )
-        marker = "ok " if cluster_multiset == baseline_multiset else "FAIL"
-        failures += cluster_multiset != baseline_multiset
-        print(
-            f"[{marker}] {name}: {len(cluster_multiset)} detections "
-            f"elastic, {len(baseline_multiset)} single-process"
+        cluster_multiset = detection_multiset(supervisor.timestamps_of(name))
+        baseline_multiset = timestamps_multiset(baseline.detections_of(name))
+        failures += _selftest_line(
+            f"{name}: {len(cluster_multiset)} detections elastic, "
+            f"{len(baseline_multiset)} single-process",
+            detection_mismatch(
+                {name: baseline_multiset}, {name: cluster_multiset}
+            ),
         )
     path = " -> ".join(str(n) for n in [args.start] + steps)
     print(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.conformance.artifacts import load_artifact, save_artifact
-from repro.conformance.generator import FuzzCase, generate_case
+from repro.conformance.generator import generate_case
 from repro.conformance.runner import CaseResult, run_case
 from repro.conformance.shrinker import shrink
 
@@ -146,8 +146,3 @@ def replay(path: str) -> tuple[CaseResult, bool]:
     recorded = artifact.verdict.get("passed")
     reproduced = recorded is None or recorded == result.passed
     return result, reproduced
-
-
-def run_single(case: FuzzCase) -> CaseResult:
-    """Convenience alias used by tests and docs examples."""
-    return run_case(case)

@@ -2,79 +2,29 @@
 
 ``run_case`` drives a :class:`FuzzCase` end-to-end through the simulated
 :class:`~repro.sim.cluster.DistributedSystem` and applies every
-differential check that is *sound* for the case:
-
-``execution``
-    The simulation itself must complete without raising; the stamped
-    history and detections feed the other checks.
-
-``oracle``
-    Detections must equal ``repro.events.semantics.evaluate`` over the
-    stamped history as a multiset of composite timestamps.  Sound in
-    the UNRESTRICTED context for non-temporal expressions (the oracle's
-    timer site differs from the detector's) when no message was
-    permanently lost.  The arrival-order-insensitive operators
-    (Or/And/Sequence/Filter) qualify under any such schedule; Not/A/A*
-    additionally require an *orderly* one — no loss, perfect clocks,
-    constant latency of at most one global granule — so that arrival
-    inversions stay confined to concurrent events and arrival order
-    remains a linearization of ``<_p``.  Times is always excluded (it
-    batches by raw arrival order).
-
-``kernels``
-    The fast-path kernels (``relation_code``, ``fast_max_set``, the
-    composite relations) must agree with the literal Definitions
-    4.7–5.4 from :mod:`repro.conformance.literal` on the stamps the case
-    actually produced.
-
-``checkpoint``
-    Split the stream at the schedule's ``checkpoint_fraction``, snapshot
-    a single-site detector, restore into a fresh one, feed the rest:
-    detections must match an uninterrupted run.  Sound for *every*
-    operator and context because a lone detector is deterministic.
-
-``failover``
-    Kill-and-restart invariance of the fault-tolerant serving cluster:
-    the stamped stream runs through the in-process failover harness
-    (:class:`~repro.serve.cluster.LocalFailoverCluster` — the exact WAL
-    + checkpoint + replay + ledger path of the cluster supervisor)
-    fault-free and under a deterministic kill/corruption
-    :class:`~repro.serve.cluster.FaultPlan`; the per-rule detection
-    multisets must match.  Sound for every operator class, like
-    ``sharding``.
-
-``approx``
-    Anytime soundness of :class:`~repro.detection.approximate.
-    ApproximateStabilizer`: drive the stamped history through a plain
-    :class:`~repro.detection.stabilizer.Stabilizer` (the exact
-    reference) and an approximate one over the *identical*
-    FIFO-preserving adversarial delivery and clock-advance schedule.
-    The CONFIRMED multiset must equal the exact multiset, every
-    TENTATIVE must resolve (confirm or retract — never dangle), and no
-    tentative may be referenced twice.  Sound for every operator class
-    and context: both engines are deterministic given the delivery.
-
-``reorder``
-    Deliver the cross-site messages of a zero-latency
-    :class:`~repro.detection.coordinator.DistributedDetector` in a
-    random adversarial order; the result must still equal the oracle.
-    Gated like ``oracle`` plus the schedule's ``reorder`` flag.
-
+differential check that is *sound* for the case.  Each check is one row
+of :data:`LEGS` — a name, a *gate* that says why the check is unsound
+for a case, and the check itself, whose docstring says what it compares
+and why that is sound — and ``run_case`` is one loop over the rows.
 Checks that are not sound for a case are reported as skipped (with the
-reason), never silently dropped.  ``run_case(case, checks=[...])``
+gate's reason), never silently dropped.  ``run_case(case, checks=[...])``
 restricts a run to the named checks (the CLI's ``fuzz --check`` filter).
 """
 
 from __future__ import annotations
 
-import json
 import random
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Any, Callable, NamedTuple, Sequence
 
-from repro.analysis.metrics import multiset_diff
+from repro.analysis.metrics import (
+    detection_mismatch,
+    detection_multiset,
+    timestamps_multiset,
+)
 from repro.errors import ReproError
 from repro.contexts.policies import Context
 from repro.detection.approximate import ApproximateStabilizer
@@ -92,7 +42,7 @@ from repro.events.expressions import (
     Plus,
     Times,
 )
-from repro.events.occurrences import EventOccurrence, History
+from repro.events.occurrences import EventOccurrence
 from repro.events.semantics import evaluate
 from repro.sim.cluster import DistributedSystem
 from repro.sim.config import SimConfig
@@ -159,11 +109,6 @@ class CaseResult:
         return None
 
 
-def timestamps_multiset(occurrences) -> list[str]:
-    """Canonical comparison form: the sorted composite-timestamp reprs."""
-    return sorted(repr(o.timestamp) for o in occurrences)
-
-
 def build_system(case: FuzzCase) -> DistributedSystem:
     """The simulated system a case describes (faults included)."""
     schedule = case.schedule
@@ -227,27 +172,140 @@ def _skip(name: str, reason: str) -> CheckResult:
     return CheckResult(name, passed=True, skipped=True, detail=reason)
 
 
-# --- the individual checks ----------------------------------------------------
+def _compare(expected: list[str], actual: list[str], label: str = "") -> str | None:
+    """:func:`detection_mismatch` for one unnamed rule (the case's own)."""
+    return detection_mismatch({"": expected}, {"": actual}, label)
 
 
-def _oracle_gate(
-    case: FuzzCase, expression: EventExpression, system: DistributedSystem
-) -> str | None:
+def _multisets(detections_of, names) -> dict[str, list[str]]:
+    """One run's per-rule detection multisets."""
+    return {name: timestamps_multiset(detections_of(name)) for name in names}
+
+
+# Example 5.1 model: local ticks per global granule, for the checkpoint
+# detectors and every serving run a leg builds.
+_TIMER_RATIO = 10
+
+
+# --- what the legs share ------------------------------------------------------
+
+
+class CaseRun:
+    """One case as every leg reads it, each shared part computed once.
+
+    The ``execution`` leg sets :attr:`expression` and :attr:`system`.
+    The serving prelude (:attr:`events`, :attr:`horizon`, :attr:`rules`,
+    :attr:`context`, :attr:`salt`) and the oracle multiset are derived
+    on first use, so a leg that is filtered out or gated off costs
+    nothing.
+    """
+
+    expression: EventExpression
+    system: DistributedSystem
+
+    def __init__(self, case: FuzzCase) -> None:
+        self.case = case
+        #: The routing salt of the serving legs.
+        self.salt = case.seed % 97
+
+    @property
+    def detections(self) -> int:
+        return len(self.system.detections_of(CASE_NAME))
+
+    @cached_property
+    def context(self) -> Context:
+        return Context(self.case.context)
+
+    @cached_property
+    def occurrences(self) -> list[EventOccurrence]:
+        """The stamped history, in arrival order."""
+        return list(self.system.history)
+
+    @cached_property
+    def events(self) -> list:
+        """The stamped history as serve events."""
+        from repro.serve import ServeEvent
+
+        return [ServeEvent.from_occurrence(o) for o in self.occurrences]
+
+    @cached_property
+    def horizon(self) -> int:
+        """The last event's granule, plus room for timers to drain."""
+        last = max(
+            (o.timestamp.global_span()[1] for o in self.occurrences), default=0
+        )
+        return last + _temporal_pad(self.expression)
+
+    @cached_property
+    def serve_options(self) -> dict[str, Any]:
+        """The keywords every serving run of the case shares."""
+        return {
+            "timer_ratio": _TIMER_RATIO,
+            "context": self.context,
+            "horizon": self.horizon,
+        }
+
+    @cached_property
+    def rules(self) -> dict[str, EventExpression]:
+        """The case expression under three rule names, so the hash
+        assignment spreads it across shards."""
+        return {f"{CASE_NAME}_{i}": self.expression for i in range(3)}
+
+    @cached_property
+    def oracle_result(self) -> list[str] | Exception:
+        """The denotational oracle's multiset over the stamped history,
+        or what evaluating it raised; ``oracle`` and ``reorder`` share it."""
+        try:
+            return timestamps_multiset(
+                evaluate(self.expression, self.system.history, label=CASE_NAME)
+            )
+        except Exception as error:  # noqa: BLE001 - the oracle leg reports it
+            return error
+
+    def oracle(self) -> list[str]:
+        """:attr:`oracle_result`, raising what the evaluation raised."""
+        result = self.oracle_result
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+
+# --- the gates ----------------------------------------------------------------
+
+
+def _always(run: CaseRun) -> str | None:
+    return None
+
+
+def _needs_events(run: CaseRun) -> str | None:
+    return None if run.occurrences else "no events"
+
+
+def _needs_two_events(run: CaseRun) -> str | None:
+    return None if len(run.occurrences) >= 2 else "fewer than two events"
+
+
+def _oracle_gate(run: CaseRun) -> str | None:
     """Why the end-to-end oracle comparison is unsound here, if it is."""
-    if Context(case.context) is not Context.UNRESTRICTED:
+    case, expression, system = run.case, run.expression, run.system
+    if run.context is not Context.UNRESTRICTED:
         return f"context {case.context} (oracle is unrestricted-only)"
     if has_temporal(expression):
         return "temporal operators (oracle timer site differs)"
     if any(isinstance(node, Times) for node in expression.walk()):
         return "times batches by arrival order"
     if is_order_sensitive(expression):
-        # Not/A/A* match the oracle when events arrive in a linearization
-        # of <_p.  With no loss, perfect clocks, and a constant latency
-        # at most one global granule, arrival inversions are confined to
-        # concurrent events — still a linearization.  Anything looser
-        # (retransmission lag, latency spikes, drift) can invert ordered
-        # pairs, where online non-monotonic detection legitimately
-        # diverges from the oracle.
+        # Not/A/A* whose children are primitive match the oracle when
+        # events arrive in a linearization of <_p.  With no loss, perfect
+        # clocks, and a constant latency at most one global granule,
+        # arrival inversions are confined to concurrent events — still a
+        # linearization.  Anything looser (retransmission lag, latency
+        # spikes, drift) can invert ordered pairs, where online
+        # non-monotonic detection legitimately diverges from the oracle.
+        # A *composite* child breaks even a linearization (correction
+        # C7): a composite can be <_p an event one of its constituents
+        # does not precede, and then completes after it.  This gate
+        # still admits such cases; ROADMAP item 2(0) replaces it.
         if not case.schedule.is_orderly:
             return "order-sensitive operators under loss/variable latency"
         if not case.perfect_clocks:
@@ -259,31 +317,77 @@ def _oracle_gate(
     return None
 
 
-def _check_oracle(
-    oracle_strs: list[str], system: DistributedSystem
-) -> CheckResult:
+def _reorder_gate(run: CaseRun) -> str | None:
+    if not run.case.schedule.reorder:
+        return "schedule has reorder=False"
+    if is_order_sensitive(run.expression):
+        # Shuffled delivery is NOT a linearization of <_p, so the relaxed
+        # orderly-schedule argument that admits Not/A/A* to the oracle
+        # check does not extend here.
+        return "order-sensitive operators under shuffling"
+    reason = _oracle_gate(run)
+    if reason is not None:
+        return reason
+    if isinstance(run.oracle_result, Exception):
+        return "oracle unavailable"
+    return None
+
+
+# --- the checks ---------------------------------------------------------------
+
+
+def _check_execution(run: CaseRun) -> CheckResult:
+    """The simulation itself must complete without raising; the stamped
+    history and detections feed the other checks."""
+    run.expression = run.case.parsed()
+    run.case.validate()
+    run.system = system = _execute(run.case, run.expression)
+    return CheckResult(
+        "execution",
+        True,
+        f"{len(system.history)} events, {run.detections} detections, "
+        f"{system.retransmissions} retransmissions",
+    )
+
+
+def _check_oracle(run: CaseRun) -> CheckResult:
+    """Detections must equal ``repro.events.semantics.evaluate`` over the
+    stamped history as a multiset of composite timestamps.
+
+    Sound in the UNRESTRICTED context for non-temporal expressions (the
+    oracle's timer site differs from the detector's) when no message was
+    permanently lost.  The arrival-order-insensitive operators
+    (Or/And/Sequence/Filter) qualify under any such schedule; Not/A/A*
+    additionally require an *orderly* one (see :func:`_oracle_gate`,
+    and its correction C7).  Times is always excluded (it batches by
+    raw arrival order).
+    """
+    expected = run.oracle()
     actual = timestamps_multiset(
         record.detection.occurrence
-        for record in system.detections_of(CASE_NAME)
+        for record in run.system.detections_of(CASE_NAME)
     )
-    missing, extra = multiset_diff(oracle_strs, actual)
-    if not missing and not extra:
+    mismatch = _compare(expected, actual)
+    if mismatch is None:
         return CheckResult(
             "oracle", True, f"{len(actual)} detections match the oracle"
         )
     return CheckResult(
         "oracle",
         False,
-        f"missing={missing[:3]} extra={extra[:3]} "
-        f"(oracle {len(oracle_strs)}, detector {len(actual)})",
+        f"{mismatch} (oracle {len(expected)}, detector {len(actual)})",
     )
 
 
-def _check_kernels(case: FuzzCase, system: DistributedSystem) -> CheckResult:
-    rng = random.Random(case.seed ^ 0xC0FFEE)
+def _check_kernels(run: CaseRun) -> CheckResult:
+    """The fast-path kernels (``relation_code``, ``fast_max_set``, the
+    composite relations) must agree with the literal Definitions
+    4.7–5.4 from :mod:`repro.conformance.literal` on the stamps the case
+    actually produced."""
+    rng = random.Random(run.case.seed ^ 0xC0FFEE)
     stamps = [
         stamp
-        for occurrence in system.history
+        for occurrence in run.occurrences
         for stamp in occurrence.timestamp
     ]
     problems: list[str] = []
@@ -307,7 +411,7 @@ def _check_kernels(case: FuzzCase, system: DistributedSystem) -> CheckResult:
             composites.append(CompositeTimestamp(max_set(sample)))
     composites.extend(
         record.detection.occurrence.timestamp
-        for record in system.detections_of(CASE_NAME)[:12]
+        for record in run.system.detections_of(CASE_NAME)[:12]
     )
     comp_pool = composites[:16]
     for t1 in comp_pool:
@@ -320,14 +424,27 @@ def _check_kernels(case: FuzzCase, system: DistributedSystem) -> CheckResult:
                     f"literal {want_rel.value}"
                 )
     if problems:
-        return CheckResult(
-            "kernels", False, "; ".join(problems[:3])
-        )
+        return CheckResult("kernels", False, "; ".join(problems[:3]))
     return CheckResult(
         "kernels",
         True,
         f"{len(pool)} stamps, {len(comp_pool)} composites vs literal defs",
     )
+
+
+def _fresh(occurrence: EventOccurrence) -> EventOccurrence:
+    """A new primitive occurrence (new uid) with the same stamp."""
+    return EventOccurrence.primitive(
+        occurrence.event_type,
+        next(iter(occurrence.timestamp)),
+        occurrence.parameters,
+    )
+
+
+def _advance(detector: Detector, granule: int) -> None:
+    """Move a detector's clock forward to ``granule`` (never back)."""
+    if granule > detector.now_global:
+        detector.advance_time(granule)
 
 
 def _feed_into(detector: Detector, occurrences) -> None:
@@ -337,40 +454,27 @@ def _feed_into(detector: Detector, occurrences) -> None:
     # Re-using the pre-cut occurrence objects would invert that order and
     # flip uid-tie-breaks in the consumption contexts.
     for occurrence in occurrences:
-        granule = occurrence.timestamp.global_span()[1]
-        if granule > detector.now_global:
-            detector.advance_time(granule)
-        detector.feed(
-            EventOccurrence.primitive(
-                occurrence.event_type,
-                next(iter(occurrence.timestamp)),
-                occurrence.parameters,
-            )
-        )
+        _advance(detector, occurrence.timestamp.global_span()[1])
+        detector.feed(_fresh(occurrence))
 
 
-def _check_continuity(
-    case: FuzzCase, expression: EventExpression, history: History
-) -> CheckResult:
-    occurrences = list(history)
-    if len(occurrences) < 2:
-        return _skip("checkpoint", "fewer than two events")
-    context = Context(case.context)
-    ratio = 10  # example 5.1 model: local ticks per global granule
+def _check_continuity(run: CaseRun) -> CheckResult:
+    """Split the stream at the schedule's ``checkpoint_fraction``,
+    snapshot a single-site detector, restore into a fresh one, feed the
+    rest: detections must match an uninterrupted run.  Sound for *every*
+    operator and context because a lone detector is deterministic."""
+    occurrences = run.occurrences
 
     def fresh() -> Detector:
-        detector = Detector(site="conf", timer_ratio=ratio)
-        detector.register(expression, name=CASE_NAME, context=context)
+        detector = Detector(site="conf", timer_ratio=_TIMER_RATIO)
+        detector.register(run.expression, name=CASE_NAME, context=run.context)
         return detector
 
-    horizon = max(
-        occurrence.timestamp.global_span()[1] for occurrence in occurrences
-    ) + _temporal_pad(expression)
     reference = fresh()
     _feed_into(reference, occurrences)
-    reference.advance_time(horizon)
+    reference.advance_time(run.horizon)
 
-    cut = int(len(occurrences) * case.schedule.checkpoint_fraction)
+    cut = int(len(occurrences) * run.case.schedule.checkpoint_fraction)
     cut = min(max(cut, 1), len(occurrences) - 1)
     first = fresh()
     _feed_into(first, occurrences[:cut])
@@ -378,26 +482,19 @@ def _check_continuity(
     second = fresh()
     restore(second, state)
     _feed_into(second, occurrences[cut:])
-    second.advance_time(horizon)
+    second.advance_time(run.horizon)
 
     expected = timestamps_multiset(reference.detections_of(CASE_NAME))
     actual = timestamps_multiset(
         first.detections_of(CASE_NAME) + second.detections_of(CASE_NAME)
     )
-    missing, extra = multiset_diff(expected, actual)
-    if not missing and not extra:
+    where = f"cut at {cut}/{len(occurrences)}"
+    mismatch = _compare(expected, actual, where)
+    if mismatch is None:
         return CheckResult(
-            "checkpoint",
-            True,
-            f"cut at {cut}/{len(occurrences)}: {len(expected)} detections "
-            "preserved",
+            "checkpoint", True, f"{where}: {len(expected)} detections preserved"
         )
-    return CheckResult(
-        "checkpoint",
-        False,
-        f"cut at {cut}/{len(occurrences)}: missing={missing[:3]} "
-        f"extra={extra[:3]}",
-    )
+    return CheckResult("checkpoint", False, mismatch)
 
 
 def _wire_round_trip(events):
@@ -417,79 +514,52 @@ def _wire_round_trip(events):
     return out
 
 
-def _check_sharding(
-    case: FuzzCase, expression: EventExpression, history: History
-) -> CheckResult:
+def _check_sharding(run: CaseRun) -> CheckResult:
     """Shard-count invariance: serve detections match a 1-shard run.
 
-    The case expression is registered under several rule names so the
-    hash assignment spreads them across shards, then the same stamped
-    stream runs through the serving runtime with 1 shard and with 3
-    shards under two different salts.  Every configuration must produce
-    the identical multiset of composite timestamps per rule.  Both
-    sides are deterministic replays of the same arrival order, so the
-    check is sound for every operator class and fault schedule.
-
-    The sharded runs additionally consume the stream *through the
-    version-1 binary wire codec* (each granule run encoded to a frame
-    and decoded back), so the check also proves the wire encoding is
-    transparent: a binary client must see the same detection multisets
-    as a JSONL one.
+    The case expression runs under three rule names (so the hash
+    assignment spreads them across shards) through the serving runtime
+    with 1 shard, then with 3 shards under two salts; every
+    configuration must produce the same per-rule multisets.  The sharded
+    runs consume the stream through the version-1 binary wire codec
+    (each granule run framed and decoded back), so the check also proves
+    the wire encoding transparent.  Sound for every operator class and
+    fault schedule: each side replays the same arrival order
+    deterministically.
     """
-    from repro.serve import ServeEvent, serve_events
+    from repro.serve import serve_events
 
-    occurrences = list(history)
-    if not occurrences:
-        return _skip("sharding", "no events")
-    events = [ServeEvent.from_occurrence(o) for o in occurrences]
-    horizon = max(event.granule for event in events) + _temporal_pad(
-        expression
-    )
-    rules = {f"{CASE_NAME}_{i}": expression for i in range(3)}
-    context = Context(case.context)
-
-    wire_events = _wire_round_trip(events)
-    if wire_events != events:
+    wire_events = _wire_round_trip(run.events)
+    if wire_events != run.events:
         return CheckResult(
             "sharding",
             False,
             "binary codec round trip altered the event stream",
         )
 
-    def run(stream, shards: int, salt: int):
-        return serve_events(
-            rules,
+    def serve(stream, shards: int, salt: int) -> dict[str, list[str]]:
+        runtime = serve_events(
+            run.rules,
             stream,
             shards=shards,
             salt=salt,
-            timer_ratio=10,  # example 5.1 model, as elsewhere in this runner
-            context=context,
-            horizon=horizon,
+            **run.serve_options,
         )
+        return _multisets(runtime.detections_of, run.rules)
 
-    baseline = run(events, shards=1, salt=0)
-    expected = {
-        name: timestamps_multiset(baseline.detections_of(name))
-        for name in rules
-    }
-    for shards, salt in ((3, 0), (3, case.seed % 97 + 1)):
+    expected = serve(run.events, shards=1, salt=0)
+    for shards, salt in ((3, 0), (3, run.salt + 1)):
         # The sharded runs consume the binary-decoded stream, so any
         # divergence the wire encoding introduced shows up as a
         # multiset mismatch against the JSONL-equivalent baseline.
-        sharded = run(wire_events, shards=shards, salt=salt)
-        for name in rules:
-            missing, extra = multiset_diff(
-                expected[name],
-                timestamps_multiset(sharded.detections_of(name)),
-            )
-            if missing or extra:
-                return CheckResult(
-                    "sharding",
-                    False,
-                    f"{name} at shards={shards} salt={salt} (binary wire): "
-                    f"missing={missing[:3]} extra={extra[:3]}",
-                )
-    detections = sum(len(expected[name]) for name in rules)
+        mismatch = detection_mismatch(
+            expected,
+            serve(wire_events, shards=shards, salt=salt),
+            f"at shards={shards} salt={salt} (binary wire)",
+        )
+        if mismatch is not None:
+            return CheckResult("sharding", False, mismatch)
+    detections = sum(len(stamps) for stamps in expected.values())
     return CheckResult(
         "sharding",
         True,
@@ -498,54 +568,32 @@ def _check_sharding(
     )
 
 
-def _check_failover(
-    case: FuzzCase, expression: EventExpression, history: History
-) -> CheckResult:
+def _check_failover(run: CaseRun) -> CheckResult:
     """Shard-kill/restart invariance: failover preserves detections.
 
-    The mirror of ``sharding`` for the fault-tolerant cluster: the same
+    The mirror of ``sharding`` for the fault-tolerant cluster: the
     stamped stream runs through the in-process failover harness (the
-    exact WAL + checkpoint + replay + detection-ledger path of
-    :class:`repro.serve.cluster.ClusterSupervisor`, minus the OS process
-    boundary) twice — fault-free, and under a deterministic
-    :class:`~repro.serve.cluster.FaultPlan` that kills every shard
-    mid-stream and corrupts one checkpoint (forcing the
-    previous-generation fallback).  Recovery restores the last intact
-    checkpoint and replays the WAL tail, so the multiset of composite
-    timestamps per rule must be identical.  Sound for every operator
-    class and fault schedule: both runs are deterministic replays of the
-    same arrival order.
+    WAL + checkpoint + replay + detection-ledger path of
+    :class:`repro.serve.cluster.ClusterSupervisor`, minus the process
+    boundary) fault-free, and then three more times, each of which must
+    reproduce the fault-free per-rule multisets exactly:
 
-    The faulted run logs with ``codec="binary"`` (version-1 WAL frames)
-    while the fault-free baseline keeps the legacy JSONL text layout,
-    so the comparison also proves recovery is codec-invariant: replay
-    from a binary WAL restores the same detections as never crashing
-    with a JSONL one.
+    * under a :class:`~repro.serve.cluster.FaultPlan` that kills every
+      shard mid-stream and corrupts one checkpoint (forcing the
+      previous-generation fallback), logging binary WAL frames where the
+      baseline logs JSONL — recovery is codec-invariant;
+    * re-hashing 2 -> 4 -> 3 shards mid-stream (state migrates at
+      granule boundaries, safe by Def 4.4);
+    * permanently losing a seed-chosen shard, its rules re-homed onto
+      the survivors.
 
-    Two *elastic* legs extend the check to live re-balancing: one run
-    re-hashes the cluster 2 -> 4 -> 3 mid-stream (detector state
-    migrating at granule boundaries, safe by Def 4.4), and one run
-    permanently loses a seed-chosen shard mid-stream, re-homing its
-    rules onto the survivors over binary WALs.  Both must reproduce the
-    baseline multiset exactly — growth, shrink, and loss never drop,
-    duplicate, or invent a detection.
+    Sound for every operator class and fault schedule: every run is a
+    deterministic replay of the same arrival order.
     """
-    from repro.serve import ServeEvent
     from repro.serve.cluster import FaultPlan, replay_with_failover
 
-    occurrences = list(history)
-    if not occurrences:
-        return _skip("failover", "no events")
-    events = [ServeEvent.from_occurrence(o) for o in occurrences]
-    horizon = max(event.granule for event in events) + _temporal_pad(
-        expression
-    )
-    rules = {f"{CASE_NAME}_{i}": expression for i in range(3)}
-    context = Context(case.context)
-    salt = case.seed % 97
-
-    def run(
-        plan: FaultPlan | None,
+    def replay(
+        plan: FaultPlan | None = None,
         codec: str | None = None,
         *,
         shards: int = 3,
@@ -553,22 +601,20 @@ def _check_failover(
         lose: tuple[tuple[int, int], ...] = (),
     ):
         return replay_with_failover(
-            rules,
-            events,
+            run.rules,
+            run.events,
             shards=shards,
-            salt=salt,
-            timer_ratio=10,  # example 5.1 model, as elsewhere in this runner
-            context=context,
-            horizon=horizon,
+            salt=run.salt,
             checkpoint_every=3,
             fault_plan=plan,
             codec=codec,
             scale_plan=scale_plan,
             lose=lose,
+            **run.serve_options,
         )
 
-    baseline = run(None)
-    count = len(events)
+    expected = _multisets(replay().detections_of, run.rules)
+    count = len(run.events)
     # At least one kill is guaranteed to fire: every rule lives on some
     # shard, that shard's WAL sees all `count` events, and each shard has
     # a kill point at or below `count`.
@@ -578,42 +624,31 @@ def _check_failover(
             (1, max(1, count // 2)),
             (2, max(1, (2 * count) // 3)),
         ),
-        corrupt_checkpoints=(case.seed % 3,),
+        corrupt_checkpoints=(run.case.seed % 3,),
     )
-    faulted = run(plan, codec="binary")
+    faulted = replay(plan, codec="binary")
     # Elastic legs: mid-stream re-balancing (2 -> 4 -> 3) and a
     # permanent seed-chosen shard loss re-homed onto the survivors
     # (binary WALs), each at a third of the stream.
-    scaled = run(
-        None, shards=2,
+    scaled = replay(
+        shards=2,
         scale_plan=((max(1, count // 3), 4), (max(1, (2 * count) // 3), 3)),
     )
-    lost = run(
-        None, codec="binary", shards=3,
-        lose=((max(1, count // 2), case.seed % 3),),
-    )
-    legs = (
+    lost = replay(codec="binary", lose=((max(1, count // 2), run.case.seed % 3),))
+    for label, cluster in (
         ("binary WAL", faulted),
         ("scale 2->4->3", scaled),
         ("lose shard", lost),
-    )
-    for label, cluster in legs:
-        for name in rules:
-            missing, extra = multiset_diff(
-                timestamps_multiset(baseline.detections_of(name)),
-                timestamps_multiset(cluster.detections_of(name)),
-            )
-            if missing or extra:
-                return CheckResult(
-                    "failover",
-                    False,
-                    f"{name} [{label}] after {cluster.restarts} restart(s), "
-                    f"{cluster.rebalances} re-balance(s): "
-                    f"missing={missing[:3]} extra={extra[:3]}",
-                )
-    detections = sum(
-        len(baseline.detections_of(name)) for name in rules
-    )
+    ):
+        mismatch = detection_mismatch(
+            expected,
+            _multisets(cluster.detections_of, run.rules),
+            f"[{label}] after {cluster.restarts} restart(s), "
+            f"{cluster.rebalances} re-balance(s)",
+        )
+        if mismatch is not None:
+            return CheckResult("failover", False, mismatch)
+    detections = sum(len(stamps) for stamps in expected.values())
     return CheckResult(
         "failover",
         True,
@@ -623,9 +658,7 @@ def _check_failover(
     )
 
 
-def _check_tenancy(
-    case: FuzzCase, expression: EventExpression, history: History
-) -> CheckResult:
+def _check_tenancy(run: CaseRun) -> CheckResult:
     """Tenant-isolation invariance: interleaved multi-tenant serving
     detects per tenant exactly what each tenant run alone would.
 
@@ -646,80 +679,53 @@ def _check_tenancy(
     of the same per-tenant arrival orders, and Definition 4.4 makes the
     intra-granule deferral the quota introduces immaterial.
     """
-    from repro.serve import ServeEvent, serve_events
+    from repro.serve import serve_events
     from repro.serve.cluster import FaultPlan
     from repro.serve.tenancy import TenantQuota, serve_tenants
 
-    occurrences = list(history)
-    if not occurrences:
-        return _skip("tenancy", "no events")
-    events = [ServeEvent.from_occurrence(o) for o in occurrences]
-    horizon = max(event.granule for event in events) + _temporal_pad(
-        expression
-    )
-    rules = {f"{CASE_NAME}_{i}": expression for i in range(2)}
-    context = Context(case.context)
-    salt = case.seed % 97
+    rules = dict(list(run.rules.items())[:2])
     tenants = ("acme", "globex")
     stream = [
         (tenants[index % len(tenants)], event)
-        for index, event in enumerate(events)
+        for index, event in enumerate(run.events)
     ]
-    count = len(events)
+    count = len(run.events)
     cluster = serve_tenants(
         {tenant: rules for tenant in tenants},
         stream,
         shards=3,
-        salt=salt,
-        timer_ratio=10,  # example 5.1 model, as elsewhere in this runner
+        salt=run.salt,
         quota=TenantQuota(rate=2, burst=3),
-        context=context,
-        horizon=horizon,
         checkpoint_every=3,
-        fault_plan=FaultPlan(kills=((case.seed % 3, max(1, count // 2)),)),
+        fault_plan=FaultPlan(kills=((run.case.seed % 3, max(1, count // 2)),)),
         codec="binary",
+        **run.serve_options,
     )
-    throttled = 0
+    throttled = detections = 0
     for tenant in tenants:
-        solo_events = [
-            event for owner, event in stream if owner == tenant
-        ]
         baseline = serve_events(
             rules,
-            solo_events,
+            [event for owner, event in stream if owner == tenant],
             shards=1,
-            timer_ratio=10,
-            context=context,
-            horizon=horizon,
+            **run.serve_options,
         )
-        replayed = cluster.replay(tenant, upto=horizon)
+        replayed = cluster.replay(tenant, upto=run.horizon)
         for name in rules:
-            expected = timestamps_multiset(baseline.detections_of(name))
-            live = timestamps_multiset(cluster.detections_of(tenant, name))
-            missing, extra = multiset_diff(expected, live)
-            if missing or extra:
-                return CheckResult(
-                    "tenancy",
-                    False,
-                    f"{tenant}/{name} interleaved vs solo: "
-                    f"missing={missing[:3]} extra={extra[:3]}",
-                )
-            rebuilt = timestamps_multiset(replayed[name])
-            missing, extra = multiset_diff(live, rebuilt)
-            if missing or extra:
-                return CheckResult(
-                    "tenancy",
-                    False,
-                    f"{tenant}/{name} envelope replay vs live: "
-                    f"missing={missing[:3]} extra={extra[:3]}",
-                )
-        status = cluster.status().tenants[tenant]
-        throttled += status["throttled"]
-    detections = sum(
-        len(cluster.detections_of(tenant, name))
-        for tenant in tenants
-        for name in rules
-    )
+            key = f"{tenant}/{name}"
+            live = {key: timestamps_multiset(cluster.detections_of(tenant, name))}
+            mismatch = detection_mismatch(
+                {key: timestamps_multiset(baseline.detections_of(name))},
+                live,
+                "interleaved vs solo",
+            ) or detection_mismatch(
+                live,
+                {key: timestamps_multiset(replayed[name])},
+                "envelope replay vs live",
+            )
+            if mismatch is not None:
+                return CheckResult("tenancy", False, mismatch)
+            detections += len(live[key])
+        throttled += cluster.status().tenants[tenant]["throttled"]
     return CheckResult(
         "tenancy",
         True,
@@ -729,24 +735,18 @@ def _check_tenancy(
     )
 
 
-def _check_reorder(
-    case: FuzzCase, expression: EventExpression, history: History,
-    oracle_strs: list[str],
-) -> CheckResult:
+def _check_reorder(run: CaseRun) -> CheckResult:
+    """Deliver the cross-site messages of a zero-latency
+    :class:`~repro.detection.coordinator.DistributedDetector` in a random
+    adversarial order; the result must still equal the oracle.  Gated
+    like ``oracle`` plus the schedule's ``reorder`` flag."""
+    case = run.case
     detector = DistributedDetector(list(case.sites))
     for event_type, home in sorted(case.homes.items()):
         detector.set_home(event_type, home)
-    detector.register(
-        expression, name=CASE_NAME, context=Context(case.context)
-    )
-    for occurrence in history:
-        detector.feed(
-            EventOccurrence.primitive(
-                occurrence.event_type,
-                next(iter(occurrence.timestamp)),
-                occurrence.parameters,
-            )
-        )
+    detector.register(run.expression, name=CASE_NAME, context=run.context)
+    for occurrence in run.occurrences:
+        detector.feed(_fresh(occurrence))
     rng = random.Random(case.seed * 31 + 7)
     while detector.outbox:
         pending = list(detector.outbox)
@@ -755,100 +755,73 @@ def _check_reorder(
         for message in pending:
             detector.deliver(message)
     actual = timestamps_multiset(detector.detections_of(CASE_NAME))
-    missing, extra = multiset_diff(oracle_strs, actual)
-    if not missing and not extra:
+    mismatch = _compare(run.oracle(), actual)
+    if mismatch is None:
         return CheckResult(
             "reorder", True, f"{len(actual)} detections survive shuffling"
         )
-    return CheckResult(
-        "reorder",
-        False,
-        f"missing={missing[:3]} extra={extra[:3]} under shuffled delivery",
-    )
+    return CheckResult("reorder", False, f"{mismatch} under shuffled delivery")
 
 
-def _check_netfault(
-    case: FuzzCase, expression: EventExpression, history: History
-) -> CheckResult:
+def _check_netfault(run: CaseRun) -> CheckResult:
     """Partition invariance: faulty links never change what is detected.
 
-    The mirror of ``failover`` for the *network* axis: the same stamped
-    stream runs through the sans-IO session harness of
-    :mod:`repro.serve.netfault` twice — fault-free, and under a
-    seed-derived :class:`~repro.serve.netfault.NetFaultPlan` injecting
-    one-way frame drops, duplicated frames, and connection resets that
-    run the real resume handshake (each side replaying its
-    unacknowledged session buffer).  No replica ever crashes, so any
-    discrepancy is a defect in the resumable-session protocol itself —
-    a lost, duplicated, or reordered frame the
-    :class:`~repro.serve.session.SessionHalf` ledgers failed to repair.
-    The faulted leg runs under both wire codecs (every frame is
-    round-tripped per hop), proving resume replay is codec-invariant.
-    Sound for every operator class and fault schedule: both runs are
-    deterministic replays of the same arrival order, and the session
-    layer's in-order exactly-once delivery makes the faulted run's
-    per-replica input stream identical to the fault-free run's.
+    The mirror of ``failover`` for the network axis: the stamped stream
+    runs through the sans-IO session harness of
+    :mod:`repro.serve.netfault` fault-free, then on both wire codecs
+    under a seed-derived :class:`~repro.serve.netfault.NetFaultPlan`
+    (one-way drops, duplicated frames, and resets that run the real
+    resume handshake).  No replica crashes, so a mismatch is a defect of
+    the resumable-session protocol.  Sound for every operator class and
+    fault schedule: the session layer's in-order exactly-once delivery
+    gives every replica the fault-free run's input stream.
     """
-    from repro.serve import ServeEvent
     from repro.serve.netfault import NetFaultPlan, replay_with_netfault
 
-    occurrences = list(history)
-    if not occurrences:
-        return _skip("netfault", "no events")
-    events = [ServeEvent.from_occurrence(o) for o in occurrences]
-    horizon = max(event.granule for event in events) + _temporal_pad(
-        expression
-    )
-    rules = {f"{CASE_NAME}_{i}": expression for i in range(3)}
-    context = Context(case.context)
-    salt = case.seed % 97
-
-    def run(plan: "NetFaultPlan | None", codec: str):
+    def replay(plan: "NetFaultPlan | None", codec: str):
         return replay_with_netfault(
-            rules,
-            events,
+            run.rules,
+            run.events,
             shards=3,
-            salt=salt,
-            timer_ratio=10,  # example 5.1 model, as elsewhere in this runner
-            context=context,
-            horizon=horizon,
+            salt=run.salt,
             plan=plan,
+            **run.serve_options,
             codec=codec,
         )
 
-    def rule_multiset(report, name: str) -> list[str]:
-        return sorted(
-            json.dumps(stamps) for stamps in report.timestamps_of(name)
-        )
+    def multisets(report) -> dict[str, list[str]]:
+        return {
+            name: detection_multiset(
+                CompositeTimestamp.from_triples(stamps)
+                for stamps in report.timestamps_of(name)
+            )
+            for name in run.rules
+        }
 
-    baseline = run(None, "jsonl")
-    count = len(events)
+    baseline = replay(None, "jsonl")
+    expected = multisets(baseline)
     plan = NetFaultPlan.from_seed(
-        case.seed,
+        run.case.seed,
         # Per-direction frame budget ~ registers + events + responses;
         # scaling with the stream keeps faults landing mid-traffic.
-        frames=max(12, count * 2),
+        frames=max(12, len(run.events) * 2),
         drops=3,
         dups=3,
         resets=2,
     )
     legs = (
-        ("jsonl", run(plan, "jsonl")),
-        ("binary", run(plan, "binary")),
+        ("jsonl", replay(plan, "jsonl")),
+        ("binary", replay(plan, "binary")),
     )
     for label, faulted in legs:
-        for name in rules:
-            missing, extra = multiset_diff(
-                rule_multiset(baseline, name), rule_multiset(faulted, name)
-            )
-            if missing or extra:
-                return CheckResult(
-                    "netfault",
-                    False,
-                    f"{name} [{label}] after {faulted.resumes} resume(s), "
-                    f"{faulted.drops} dropped frame(s): "
-                    f"missing={missing[:3]} extra={extra[:3]}",
-                )
+        mismatch = detection_mismatch(
+            expected,
+            multisets(faulted),
+            f"[{label}] after {faulted.resumes} resume(s), "
+            f"{faulted.drops} dropped frame(s)",
+        )
+        if mismatch is not None:
+            return CheckResult("netfault", False, mismatch)
     resumes = sum(report.resumes for _, report in legs)
     drops = sum(report.drops for _, report in legs)
     return CheckResult(
@@ -860,40 +833,39 @@ def _check_netfault(
     )
 
 
-def _check_approx(
-    case: FuzzCase, expression: EventExpression, history: History
-) -> CheckResult:
+def _check_approx(run: CaseRun) -> CheckResult:
+    """Anytime soundness of :class:`~repro.detection.approximate.
+    ApproximateStabilizer`: drive the stamped history through a plain
+    :class:`~repro.detection.stabilizer.Stabilizer` (the exact
+    reference) and an approximate one over the *identical*
+    FIFO-preserving adversarial delivery and clock-advance schedule.
+
+    The CONFIRMED multiset must equal the exact multiset, every
+    TENTATIVE must resolve (confirm or retract — never dangle), and no
+    tentative may be referenced twice.  Sound for every operator class
+    and context: both engines are deterministic given the delivery.
+    """
     def build(approximate: bool) -> Stabilizer:
         detector = Detector()
-        detector.register(
-            expression, name=CASE_NAME, context=Context(case.context)
-        )
+        detector.register(run.expression, name=CASE_NAME, context=run.context)
         if approximate:
-            return ApproximateStabilizer(detector, sites=list(case.sites))
-        return Stabilizer(detector, sites=list(case.sites))
+            return ApproximateStabilizer(detector, sites=list(run.case.sites))
+        return Stabilizer(detector, sites=list(run.case.sites))
 
     # FIFO-preserving adversarial interleaving: per-site order kept (the
     # stabilizer's premise), cross-site order scrambled by the seed.
     by_site: dict[str, list[EventOccurrence]] = {}
-    for occurrence in history:
-        by_site.setdefault(occurrence.site(), []).append(
-            EventOccurrence.primitive(
-                occurrence.event_type,
-                next(iter(occurrence.timestamp)),
-                occurrence.parameters,
-            )
-        )
+    for occurrence in run.occurrences:
+        by_site.setdefault(occurrence.site(), []).append(_fresh(occurrence))
     for queue in by_site.values():
         queue.sort(key=lambda o: min(t.local for t in o.timestamp))
-    rng = random.Random(case.seed * 131 + 17)
+    rng = random.Random(run.case.seed * 131 + 17)
     delivery: list[EventOccurrence] = []
     queues = [queue for queue in by_site.values() if queue]
     while queues:
         delivery.append(rng.choice(queues).pop(0))
         queues = [queue for queue in queues if queue]
-    horizon = max(
-        (o.timestamp.global_span()[1] for o in delivery), default=0
-    ) + _temporal_pad(expression)
+    horizon = run.horizon
 
     reference = build(approximate=False)
     approx = build(approximate=True)
@@ -903,33 +875,27 @@ def _check_approx(
         approx.offer(occurrence)
         approx.advance_exact()
         reference.offer(occurrence)
-        frontier = reference.frontier()
-        if frontier > reference.detector.now_global:
-            reference.detector.advance_time(frontier)
+        _advance(reference.detector, reference.frontier())
     approx.advance_shadow(horizon)
     approx.announce_all(horizon)
     approx.advance_exact()
     approx.flush(advance_to=horizon)
     for site in sorted(reference.watermarks):
         reference.announce(site, horizon)
-    frontier = reference.frontier()
-    if frontier > reference.detector.now_global:
-        reference.detector.advance_time(frontier)
+    _advance(reference.detector, reference.frontier())
     reference.flush()
-    if horizon > reference.detector.now_global:
-        reference.detector.advance_time(horizon)
+    _advance(reference.detector, horizon)
 
     expected = timestamps_multiset(
         reference.detector.detections_of(CASE_NAME)
     )
     confirmed = timestamps_multiset(approx.confirmed_of(CASE_NAME))
-    missing, extra = multiset_diff(expected, confirmed)
-    if missing or extra:
+    mismatch = _compare(expected, confirmed, "CONFIRMED != exact")
+    if mismatch is not None:
         return CheckResult(
             "approx",
             False,
-            f"CONFIRMED != exact: missing={missing[:3]} extra={extra[:3]} "
-            f"(exact {len(expected)}, confirmed {len(confirmed)})",
+            f"{mismatch} (exact {len(expected)}, confirmed {len(confirmed)})",
         )
     if approx.unresolved():
         return CheckResult(
@@ -962,22 +928,40 @@ def _check_approx(
     )
 
 
-# --- the driver ---------------------------------------------------------------
+# --- the table and its driver -------------------------------------------------
 
+
+class Leg(NamedTuple):
+    """One differential leg: a row of :data:`LEGS`.
+
+    ``gate(run)`` says why the leg is unsound for the case (``None``
+    when it is sound); ``check(run)`` runs it.  Either may raise: the
+    leg then fails with ``raised ...`` and the rows after it still run.
+    """
+
+    name: str
+    gate: Callable[[CaseRun], str | None]
+    check: Callable[[CaseRun], CheckResult]
+
+
+#: Every leg, in report order.  The first row, ``execution``, always
+#: runs and its failure ends the case: every other row reads what it
+#: produced.
+LEGS: tuple[Leg, ...] = (
+    Leg("execution", _always, _check_execution),
+    Leg("oracle", _oracle_gate, _check_oracle),
+    Leg("kernels", _always, _check_kernels),
+    Leg("checkpoint", _needs_two_events, _check_continuity),
+    Leg("sharding", _needs_events, _check_sharding),
+    Leg("failover", _needs_events, _check_failover),
+    Leg("netfault", _needs_events, _check_netfault),
+    Leg("tenancy", _needs_events, _check_tenancy),
+    Leg("approx", _always, _check_approx),
+    Leg("reorder", _reorder_gate, _check_reorder),
+)
 
 #: Every check name ``run_case`` knows (the ``checks=`` filter domain).
-CHECK_NAMES = (
-    "execution",
-    "oracle",
-    "kernels",
-    "checkpoint",
-    "sharding",
-    "failover",
-    "netfault",
-    "tenancy",
-    "approx",
-    "reorder",
-)
+CHECK_NAMES = tuple(leg.name for leg in LEGS)
 
 
 def run_case(case: FuzzCase, checks: Sequence[str] | None = None) -> CaseResult:
@@ -988,126 +972,28 @@ def run_case(case: FuzzCase, checks: Sequence[str] | None = None) -> CaseResult:
     unknown name raises so CLI typos fail loudly instead of silently
     passing an empty campaign.
     """
+    names = [leg.name for leg in LEGS]
     if checks is not None:
-        unknown = sorted(set(checks) - set(CHECK_NAMES))
+        unknown = sorted(set(checks) - set(names))
         if unknown:
             raise ReproError(
                 f"unknown conformance check(s) {unknown}; "
-                f"valid: {', '.join(sorted(CHECK_NAMES))}"
+                f"valid: {', '.join(sorted(names))}"
             )
-
-    def wanted(name: str) -> bool:
-        return checks is None or name in checks
 
     result = CaseResult(case)
-    try:
-        expression = case.parsed()
-        case.validate()
-        system = _execute(case, expression)
-    except Exception as error:  # noqa: BLE001 - a crash IS the finding
-        result.checks.append(_failure("execution", error))
-        return result
-    result.detections = len(system.detections_of(CASE_NAME))
-    result.checks.append(
-        CheckResult(
-            "execution",
-            True,
-            f"{len(system.history)} events, {result.detections} detections, "
-            f"{system.retransmissions} retransmissions",
-        )
-    )
-
-    oracle_strs: list[str] | None = None
-    gate = _oracle_gate(case, expression, system)
-    if wanted("oracle") or wanted("reorder"):
-        if gate is not None:
-            if wanted("oracle"):
-                result.checks.append(_skip("oracle", gate))
-        else:
-            try:
-                oracle_strs = timestamps_multiset(
-                    evaluate(expression, system.history, label=CASE_NAME)
-                )
-                if wanted("oracle"):
-                    result.checks.append(_check_oracle(oracle_strs, system))
-            except Exception as error:  # noqa: BLE001
-                if wanted("oracle"):
-                    result.checks.append(_failure("oracle", error))
-
-    if wanted("kernels"):
+    run = CaseRun(case)
+    for index, leg in enumerate(LEGS):
+        if index and checks is not None and leg.name not in checks:
+            continue
         try:
-            result.checks.append(_check_kernels(case, system))
-        except Exception as error:  # noqa: BLE001
-            result.checks.append(_failure("kernels", error))
-
-    if wanted("checkpoint"):
-        try:
-            result.checks.append(
-                _check_continuity(case, expression, system.history)
-            )
-        except Exception as error:  # noqa: BLE001
-            result.checks.append(_failure("checkpoint", error))
-
-    if wanted("sharding"):
-        try:
-            result.checks.append(
-                _check_sharding(case, expression, system.history)
-            )
-        except Exception as error:  # noqa: BLE001
-            result.checks.append(_failure("sharding", error))
-
-    if wanted("failover"):
-        try:
-            result.checks.append(
-                _check_failover(case, expression, system.history)
-            )
-        except Exception as error:  # noqa: BLE001
-            result.checks.append(_failure("failover", error))
-
-    if wanted("netfault"):
-        try:
-            result.checks.append(
-                _check_netfault(case, expression, system.history)
-            )
-        except Exception as error:  # noqa: BLE001
-            result.checks.append(_failure("netfault", error))
-
-    if wanted("tenancy"):
-        try:
-            result.checks.append(
-                _check_tenancy(case, expression, system.history)
-            )
-        except Exception as error:  # noqa: BLE001
-            result.checks.append(_failure("tenancy", error))
-
-    if wanted("approx"):
-        try:
-            result.checks.append(
-                _check_approx(case, expression, system.history)
-            )
-        except Exception as error:  # noqa: BLE001
-            result.checks.append(_failure("approx", error))
-
-    if not wanted("reorder"):
-        pass
-    elif not case.schedule.reorder:
-        result.checks.append(_skip("reorder", "schedule has reorder=False"))
-    elif is_order_sensitive(expression):
-        # Shuffled delivery is NOT a linearization of <_p, so the relaxed
-        # orderly-schedule argument that admits Not/A/A* to the oracle
-        # check does not extend here.
-        result.checks.append(
-            _skip("reorder", "order-sensitive operators under shuffling")
-        )
-    elif gate is not None:
-        result.checks.append(_skip("reorder", gate))
-    elif oracle_strs is None:
-        result.checks.append(_skip("reorder", "oracle unavailable"))
-    else:
-        try:
-            result.checks.append(
-                _check_reorder(case, expression, system.history, oracle_strs)
-            )
-        except Exception as error:  # noqa: BLE001
-            result.checks.append(_failure("reorder", error))
+            reason = leg.gate(run)
+            outcome = leg.check(run) if reason is None else _skip(leg.name, reason)
+        except Exception as error:  # noqa: BLE001 - a crash IS the finding
+            outcome = _failure(leg.name, error)
+        result.checks.append(outcome)
+        if not index:
+            if not outcome.passed:
+                break
+            result.detections = run.detections
     return result

@@ -108,7 +108,7 @@ class VerdictDetection:
 
         The anytime metric: a tentative verdict's lag is (near) zero,
         a confirmed verdict's lag is the stabilization window it waited
-        out — the quantity ``bench_serve_approx`` measures.
+        out.
         """
         return self.at - self.granule
 

@@ -403,9 +403,7 @@ class Detector:
         buffered occurrences, detections, callbacks or placements — the
         anytime layer (:class:`~repro.detection.approximate.
         ApproximateStabilizer`) uses one as the eagerly-fed shadow
-        engine, and :meth:`~repro.sim.cluster.DistributedSystem.confirm`
-        replays the stamped history through one to obtain the exact
-        in-order multiset.  Timer stamps carry the clone's site label,
+        engine.  Timer stamps carry the clone's site label,
         so comparisons across engines must canonicalize timer sites
         (:func:`~repro.detection.approximate.detection_key`).
         """

@@ -3,7 +3,11 @@
 The non-monotonic operators (``not``, ``A``, ``A*``) can only match the
 denotational semantics when occurrences are *evaluated* in a
 linearization of happen-before — a detection signalled early cannot be
-retracted when a late blocker arrives.  Schwiderski's evaluation
+retracted when a late blocker arrives.  That is necessary, not
+sufficient: with a *composite* child (``A(a and b, c, a)``) a
+linearization of the primitives can still complete the child after an
+event it precedes under ``<_p``, and the release order below can impose
+such a linearization (correction C7 in EXPERIMENTS.md).  Schwiderski's evaluation
 protocol solves this with heartbeats: a site's events are evaluated only
 once every site has announced a clock reading past them, so nothing
 earlier can still arrive.

@@ -124,9 +124,8 @@ class LocalFailoverCluster(_CoreDriver):
     applied the moment it is logged, and a *kill* discards the shard's
     replica object outright (state, open granules, everything) and
     rebuilds it.  Deterministic and fast — what the conformance
-    ``failover`` check runs per case, what ``repro serve --tenants``
-    and approximate mode serve through, and what
-    ``bench_serve_failover`` / ``bench_serve_rebalance`` measure.
+    ``failover`` check runs per case, and what ``repro serve
+    --tenants`` and approximate mode serve through.
     Beyond :class:`~repro.serve.admin.ClusterAdmin` it offers
     :meth:`crash` and :meth:`lose` (a shard's permanent failure).
     """

@@ -312,7 +312,7 @@ class DetectionShard:
 
     async def put(self, event: ServeEvent) -> None:
         """Enqueue one event; suspends while the queue is full."""
-        await self.queue.put([event])
+        await self._enqueue([event])
 
     async def put_batch(self, events: list[ServeEvent]) -> None:
         """Enqueue a whole batch as *one* queue item.
@@ -322,7 +322,31 @@ class DetectionShard:
         accumulated by the worker in a single wake-up instead of N.
         """
         if events:
-            await self.queue.put(events)
+            await self._enqueue(events)
+
+    async def _enqueue(self, item: list[ServeEvent]) -> None:
+        queue = self.queue
+        if not queue.full():
+            queue.put_nowait(item)
+            return
+        task = self._task
+        if task is None:
+            await queue.put(item)
+            return
+        # Only the worker frees a slot, and a dead one (a rule callback
+        # raised) never will: race the put against the worker, as
+        # ``drain`` does, and raise its exception instead of hanging.
+        put = asyncio.ensure_future(queue.put(item))
+        try:
+            await asyncio.wait({put, task}, return_when=asyncio.FIRST_COMPLETED)
+        except BaseException:
+            put.cancel()
+            raise
+        if put.done():
+            return
+        put.cancel()
+        task.result()
+        raise ReproError(f"shard {self.index} stopped with a full queue")
 
     # --- worker side ------------------------------------------------------
 

@@ -50,6 +50,7 @@ from collections import deque
 from dataclasses import dataclass, fields, replace
 from typing import Any, Iterable, Mapping
 
+from repro.analysis.metrics import timestamps_multiset
 from repro.contexts.policies import Context
 from repro.errors import ReproError
 from repro.events.expressions import EventExpression, Primitive
@@ -678,7 +679,7 @@ class MultiTenantCluster(ClusterAdmin):
         per-rule detection multisets for byte-for-byte verification."""
         detections = {
             tenant: {
-                name: _timestamp_multiset(self.detections_of(tenant, name))
+                name: timestamps_multiset(self.detections_of(tenant, name))
                 for name in rules
             }
             for tenant, rules in self._rules.items()
@@ -713,11 +714,6 @@ class MultiTenantCluster(ClusterAdmin):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def _timestamp_multiset(occurrences: Iterable[EventOccurrence]) -> list[str]:
-    """The canonical sorted timestamp-string multiset of detections."""
-    return sorted(str(occurrence.timestamp) for occurrence in occurrences)
 
 
 def replay_store(

@@ -24,13 +24,12 @@ real hardware with synchronized clocks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.contexts.policies import Context
-from repro.detection.approximate import Verdict, detection_key
 from repro.detection.coordinator import (
     DistributedDetector,
     Message,
@@ -57,17 +56,13 @@ class DetectionRecord:
     ``true_time`` — reference time at which the detector signalled;
     ``injection_span`` — (earliest, latest) true injection times of the
     primitive constituents; ``latency`` — signal delay past the latest
-    constituent, the SCALE benchmark's headline metric.  ``verdict`` is
-    ``None`` in exact mode; under ``SimConfig(approximate=True)`` live
-    records carry :attr:`~repro.detection.approximate.Verdict.TENTATIVE`
-    until :meth:`DistributedSystem.confirm` resolves them.
+    constituent, the SCALE benchmark's headline metric.
     """
 
     name: str
     detection: Detection
     true_time: Fraction
     injection_span: tuple[Fraction, Fraction]
-    verdict: "Verdict | None" = None
 
     @property
     def latency(self) -> Fraction:
@@ -149,9 +144,6 @@ class DistributedSystem:
         # seq.  Without this, a checkpoint taken mid-retransmission would
         # silently drop the message — it lives only in an engine closure.
         self._inflight: dict[int, Message] = {}
-        # Records appended by confirm() (exact detections the live run
-        # missed); dropped and recomputed on every confirmation pass.
-        self._synthetic_ids: set[int] = set()
 
     # --- configuration -----------------------------------------------------
 
@@ -368,7 +360,6 @@ class DistributedSystem:
             detection=detection,
             true_time=self.engine.now,
             injection_span=(earliest, latest),
-            verdict=Verdict.TENTATIVE if self.config.approximate else None,
         )
         self.records.append(record)
         if self.obs.enabled:
@@ -453,111 +444,13 @@ class DistributedSystem:
             while t <= Fraction(until):
                 self.engine.schedule_at(t, self._advance_detector_clock)
                 t += granule_seconds
-        actions = self.engine.run(until)
-        if self.config.approximate and until is None:
-            # Quiescence: all deliveries happened, so the stabilized
-            # replay below sees the complete stream and every verdict
-            # it assigns is final.
-            self.confirm()
-        return actions
-
-    # --- approximate-mode confirmation ---------------------------------------
-
-    def confirm(self) -> dict[str, int]:
-        """Resolve every TENTATIVE record to CONFIRMED or RETRACTED.
-
-        Replays the stamped history (injection order — per-site FIFO by
-        construction, since each site's clock is monotone in true time)
-        through a :class:`~repro.detection.stabilizer.Stabilizer` over a
-        :meth:`~repro.detection.detector.Detector.clone` of the
-        detector, advancing the clone's clock with the watermark
-        frontier so timer-driven operators fire in stabilized order.
-        Live records matching the exact multiset become CONFIRMED, the
-        rest RETRACTED; exact detections the live run never signalled
-        (a late blocker suppressed them eagerly, in-order pairings only
-        the linearization finds) are appended as CONFIRMED records.
-        Idempotent: re-running recomputes all verdicts from scratch.
-        """
-        from repro.detection.stabilizer import Stabilizer
-
-        if not self.config.approximate:
-            raise SimulationError(
-                "confirm() requires SimConfig(approximate=True)"
-            )
-        twin = self.detector.clone(site="__confirm__")
-        stabilizer = Stabilizer(twin, sites=list(self.sites))
-        exact: list[Detection] = []
-        for occurrence in self.history:
-            exact.extend(stabilizer.offer(occurrence))
-            frontier = stabilizer.frontier()
-            if frontier > twin.now_global:
-                exact.extend(twin.advance_time(frontier))
-        exact.extend(stabilizer.flush())
-        if self._last_granule > twin.now_global:
-            exact.extend(twin.advance_time(self._last_granule))
-        pending: dict[tuple[str, str], list[Detection]] = {}
-        for detection in exact:
-            pending.setdefault(detection_key(detection), []).append(detection)
-        counts = {"confirmed": 0, "retracted": 0, "recovered": 0}
-        resolved: list[DetectionRecord] = []
-        for record in self.records:
-            if id(record) in self._synthetic_ids:
-                continue  # recomputed below from this pass's multiset
-            queue = pending.get(detection_key(record.detection))
-            if queue:
-                queue.pop(0)
-                counts["confirmed"] += 1
-                resolved.append(replace(record, verdict=Verdict.CONFIRMED))
-            else:
-                counts["retracted"] += 1
-                resolved.append(replace(record, verdict=Verdict.RETRACTED))
-        self._synthetic_ids.clear()
-        for queue in pending.values():
-            for detection in queue:
-                counts["recovered"] += 1
-                leaves = detection.occurrence.primitive_leaves()
-                times = [
-                    self._injection_times[leaf.uid]
-                    for leaf in leaves
-                    if leaf.uid in self._injection_times
-                ]
-                record = DetectionRecord(
-                    name=detection.name,
-                    detection=detection,
-                    true_time=self.engine.now,
-                    injection_span=(
-                        (min(times), max(times))
-                        if times
-                        else (self.engine.now, self.engine.now)
-                    ),
-                    verdict=Verdict.CONFIRMED,
-                )
-                self._synthetic_ids.add(id(record))
-                resolved.append(record)
-        self.records = resolved
-        return counts
+        return self.engine.run(until)
 
     # --- results --------------------------------------------------------------------
 
     def detections_of(self, name: str) -> list[DetectionRecord]:
         """Detection records of one registered composite event."""
         return [r for r in self.records if r.name == name]
-
-    def confirmed_of(self, name: str) -> list[DetectionRecord]:
-        """Approximate mode: the CONFIRMED records — the exact multiset."""
-        return [
-            r
-            for r in self.records
-            if r.name == name and r.verdict is Verdict.CONFIRMED
-        ]
-
-    def verdict_counts(self) -> dict[str, int]:
-        """Approximate mode: records per verdict across all rules."""
-        counts = {v.value: 0 for v in Verdict}
-        for record in self.records:
-            if record.verdict is not None:
-                counts[record.verdict.value] += 1
-        return counts
 
     def injected_count(self) -> int:
         """Primitive events injected so far."""

@@ -56,12 +56,6 @@ class SimConfig:
     retry_timeout:
         Base ack timeout (seconds); ``None`` selects 1/10 s.  Attempt
         ``k`` waits ``retry_timeout * (k + 1)`` (linear backoff).
-    approximate:
-        Anytime mode: live detections are recorded as TENTATIVE and a
-        post-run confirmation pass replays the stamped history in
-        stabilized order, upgrading each record to CONFIRMED or
-        RETRACTED (see :mod:`repro.detection.approximate` and
-        ``docs/approximate.md``).
     instrumentation:
         Optional :class:`~repro.obs.instrument.Instrumentation` hub.
     """
@@ -75,7 +69,6 @@ class SimConfig:
     retransmit: bool = False
     max_retries: int = 8
     retry_timeout: Fraction | None = Fraction(1, 10)
-    approximate: bool = False
 
     instrumentation: "Instrumentation | None" = None
 

@@ -250,27 +250,10 @@ class StabilizedMonitor:
     def detections_of(self, name: str) -> list[MonitorDetection]:
         """Detections of one registered composite event.
 
-        In approximate mode this includes every verdict record; filter
-        with :meth:`tentative_of` / :meth:`confirmed_of` for the
-        anytime and exact views.
+        In approximate mode this includes every verdict record; each
+        carries its ``verdict`` (TENTATIVE, CONFIRMED or RETRACTED).
         """
         return [r for r in self.records if r.detection.name == name]
-
-    def tentative_of(self, name: str) -> list[MonitorDetection]:
-        """Approximate mode: the eager (anytime) emissions of a rule."""
-        return [
-            r
-            for r in self.records
-            if r.detection.name == name and r.verdict is Verdict.TENTATIVE
-        ]
-
-    def confirmed_of(self, name: str) -> list[MonitorDetection]:
-        """Approximate mode: the CONFIRMED records — the exact multiset."""
-        return [
-            r
-            for r in self.records
-            if r.detection.name == name and r.verdict is Verdict.CONFIRMED
-        ]
 
     def drain(self) -> list[MonitorDetection]:
         """Approximate mode: flush the stabilizer, resolving stragglers.

@@ -243,7 +243,6 @@ class TestSimConfig:
             "retransmit",
             "max_retries",
             "retry_timeout",
-            "approximate",
             "instrumentation",
         )
 

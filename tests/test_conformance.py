@@ -30,7 +30,10 @@ from repro.conformance import (
     save_artifact,
     shrink,
 )
+from repro.analysis.metrics import detection_mismatch
+from repro.conformance import runner
 from repro.conformance.artifacts import dumps
+from repro.conformance.runner import CheckResult
 from repro.errors import SimulationError, UnknownSiteError
 from repro.events.parser import parse_expression
 from repro.sim.workloads import WorkloadEvent
@@ -199,6 +202,94 @@ class TestChecksFilter:
         assert failover is not None and failover.passed, (
             seed,
             failover.detail if failover else None,
+        )
+
+
+class TestLegTable:
+    """``run_case`` is one loop over ``LEGS``: a leg is one row."""
+
+    def test_check_names_come_from_the_table(self):
+        assert runner.CHECK_NAMES == tuple(row.name for row in runner.LEGS)
+
+    def test_an_added_row_runs_on_every_case_and_is_selectable(
+        self, monkeypatch
+    ):
+        seen = []
+
+        def check(run):
+            seen.append(run.case.seed)
+            return CheckResult("extra", True, f"{len(run.occurrences)} events")
+
+        extra = runner.Leg("extra", lambda run: None, check)
+        monkeypatch.setattr(runner, "LEGS", runner.LEGS + (extra,))
+        cases = list(generate_cases(3, 4))
+        for case in cases:
+            assert run_case(case).check("extra").passed
+        assert seen == [case.seed for case in cases]
+        selected = run_case(cases[0], checks=["extra"])
+        assert [check.name for check in selected.checks] == [
+            "execution",
+            "extra",
+        ]
+
+    def test_a_raising_row_fails_and_later_rows_still_run(self, monkeypatch):
+        def boom(run):
+            raise ValueError("leg exploded")
+
+        legs = list(runner.LEGS)
+        legs.insert(2, runner.Leg("boom", lambda run: None, boom))
+        monkeypatch.setattr(runner, "LEGS", tuple(legs))
+        result = run_case(generate_case(3))
+        failed = result.check("boom")
+        assert failed is not None and not failed.passed
+        assert failed.detail == "raised ValueError: leg exploded"
+        names = [check.name for check in result.checks]
+        assert names[names.index("boom") + 1 :] == [
+            "kernels",
+            "checkpoint",
+            "sharding",
+            "failover",
+            "netfault",
+            "tenancy",
+            "approx",
+            "reorder",
+        ]
+
+    def test_a_gate_reason_becomes_a_skip(self, monkeypatch):
+        def never(run):
+            raise AssertionError("a gated-off check must not run")
+
+        gated = runner.Leg("gated", lambda run: "not sound here", never)
+        monkeypatch.setattr(runner, "LEGS", runner.LEGS + (gated,))
+        check = run_case(generate_case(3)).check("gated")
+        assert check == CheckResult(
+            "gated", passed=True, detail="not sound here", skipped=True
+        )
+
+    def test_fuzz_counts_are_pinned(self):
+        report = fuzz(seed=7, cases=50, shrink_failures=False)
+        assert report.passed
+        assert report.detections == 883
+        counts = {
+            name: (report.check_runs[name], report.check_skips[name])
+            for name in runner.CHECK_NAMES
+        }
+        assert counts == {
+            name: {"oracle": (6, 44), "reorder": (3, 47)}.get(name, (50, 0))
+            for name in runner.CHECK_NAMES
+        }
+
+    def test_mismatch_detail_names_rule_label_and_first_keys(self):
+        expected = {"r1": ["k1", "k2"], "r2": ["a", "b", "c", "d"]}
+        actual = {"r1": ["k2", "k1"], "r2": ["c", "x", "y", "z", "w"]}
+        assert detection_mismatch(expected, dict(expected)) is None
+        assert detection_mismatch(expected, actual, "[binary WAL]") == (
+            "r2 [binary WAL]: missing=['a', 'b', 'd'] "
+            "extra=['w', 'x', 'y']"
+        )
+        # A rule only one side has compares against an empty multiset.
+        assert detection_mismatch({}, {"r3": ["k"]}) == (
+            "r3: missing=[] extra=['k']"
         )
 
 

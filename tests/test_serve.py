@@ -176,6 +176,23 @@ class TestBackpressure:
 
         assert asyncio.run(scenario()) == [False, True, True, True]
 
+    def test_full_queue_of_a_dead_shard_raises_instead_of_hanging(self):
+        def boom(detection):
+            raise RuntimeError("callback failed")
+
+        async def scenario():
+            runtime = ServingRuntime(config=ServeConfig(shards=1, capacity=2))
+            runtime.register("a", name="r", callback=boom)
+            runtime.start()
+            for i in range(10):
+                await runtime.ingest(ServeEvent("a", "s1", i, 10 * i))
+
+        async def bounded():
+            await asyncio.wait_for(scenario(), 5)
+
+        with pytest.raises(RuntimeError, match="callback failed"):
+            asyncio.run(bounded())
+
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ReproError):
             DetectionShard(0, capacity=0)
