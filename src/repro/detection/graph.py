@@ -106,17 +106,17 @@ class EventGraph:
         return shared + list(self._aliases)
 
     def subscribed_event_types(self) -> frozenset[str]:
-        """Primitive event types that feed at least one operator node.
+        """Primitive event types that registered rules consume.
 
         The introspection the serving runtime's router is built from: a
-        leaf created on demand by a stray ``feed`` has no subscribers
-        and is excluded, so routing reflects only what registered rules
-        actually consume.
+        leaf that feeds an operator node or is itself a root (rule ``a``
+        named ``a``).  A leaf created on demand by a stray ``feed`` has
+        no subscribers and is excluded.
         """
         return frozenset(
             name
             for name, node in self.primitives.items()
-            if self.edges.get(node)
+            if self.edges.get(node) or node in self.roots.values()
         )
 
     def primitive_node(self, name: str) -> PrimitiveNode:

@@ -16,12 +16,13 @@ stated once, in :mod:`repro.serve.core`.  This module runs it two ways:
   :mod:`repro.serve.worker`), per-shard locks, heartbeats, bounded
   retry with backoff.  It sends the core's recovery plan as control
   frames, gathers migration sources by handoff, and falls back to the
-  core's in-process rebuild for a worker that cannot answer.  Graceful
-  degradation is its own: a shard past its retry budget is marked
-  unavailable, its events are *parked* in its WAL (never lost, never
-  blocking healthy shards) behind a :class:`ShardUnavailable` signal,
-  and :meth:`~ClusterSupervisor.revive` replays them (or
-  ``rebalance_grace`` re-homes its rules onto the survivors).
+  core's in-process rebuild for a worker that cannot answer.  Its
+  lifecycle is two tables, each written by one method: a
+  :class:`ShardState` per shard and a :class:`ClusterPhase`.  A shard
+  past its retry budget is PARKED, with no worker: its events wait in
+  its WAL (never lost, never blocking healthy shards) behind a
+  :class:`ShardUnavailable` signal until :meth:`~ClusterSupervisor.revive`
+  replays them or ``rebalance_grace`` re-homes its rules.
 
 Both implement :class:`~repro.serve.admin.ClusterAdmin` and expose the
 core's router, ledger and counters under the same names.
@@ -35,7 +36,8 @@ import sys
 import time
 from collections import defaultdict
 from contextlib import AsyncExitStack
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
+from enum import Enum
 from typing import Any, Callable, IO, Mapping
 
 from repro.contexts.policies import Context
@@ -386,62 +388,82 @@ _STARTUP_TIMEOUT = 30.0
 """Seconds a freshly spawned worker gets to emit its first frame."""
 
 
+class ShardState(Enum):
+    """Where one supervised shard is in its lifecycle (docs/serving.md)."""
+
+    DOWN = "down"  # no live worker: the next dispatch or monitor tick respawns
+    STARTING = "starting"  # spawned, getting its recovery plan; not suspected
+    LIVE = "live"  # has its plan: entries go to it, its beats are watched
+    PARKED = "parked"  # past its budget, no worker: entries wait in the WAL
+
+
+class ClusterPhase(Enum):
+    """What the whole supervisor is doing."""
+
+    RUNNING = "running"
+    SCALING = "scaling"  # scale() owns the shard map: ingest, drain, stop wait
+    STOPPING = "stopping"  # stop() has begun; the monitor exits, nothing scales
+
+
+#: Every move a shard may make (entering its own state is a no-op);
+#: ``ClusterSupervisor._enter`` raises on any other.
+_TRANSITIONS: dict[ShardState, frozenset[ShardState]] = {
+    ShardState.DOWN: frozenset({ShardState.STARTING, ShardState.PARKED}),
+    ShardState.STARTING: frozenset({ShardState.LIVE, ShardState.DOWN}),
+    ShardState.LIVE: frozenset({ShardState.DOWN}),
+    ShardState.PARKED: frozenset({ShardState.DOWN}),
+}
+_PHASE_TRANSITIONS: dict[ClusterPhase, frozenset[ClusterPhase]] = {
+    ClusterPhase.RUNNING: frozenset({ClusterPhase.SCALING, ClusterPhase.STOPPING}),
+    ClusterPhase.SCALING: frozenset({ClusterPhase.RUNNING}),
+    ClusterPhase.STOPPING: frozenset(),
+}
+
+
+def _check_move(table: dict, old: Enum, new: Enum, what: str) -> None:
+    if new not in table[old]:
+        raise ReproError(f"{what} cannot move from {old.value} to {new.value}")
+
+
+@dataclass(slots=True)
+class _Shard:
+    """A shard's state, why it is not LIVE, and when a PARKED one re-homes."""
+
+    state: ShardState = ShardState.DOWN
+    reason: str = ""
+    rehome_at: float | None = None
+
+
+@dataclass(eq=False, slots=True)
 class _Worker:
-    """Supervisor-side handle of one live worker incarnation."""
+    """Supervisor-side handle of one worker incarnation."""
 
-    __slots__ = (
-        "link", "reader", "dead", "acked_seq", "applied", "beats_seen",
-        "started", "sent_seq", "handoff",
-    )
-
-    def __init__(self, link: WorkerLink) -> None:
-        self.link = link
-        self.reader: asyncio.Task | None = None
-        self.dead = False
-        self.acked_seq = 0
-        self.applied = asyncio.Event()
-        self.beats_seen = 0
-        self.started = asyncio.Event()
-        # Highest WAL seq already sent to this worker (restore replay
-        # included) — _deliver skips entries at or below it, so an
-        # entry covered by a recovery's tail replay is never re-sent.
-        self.sent_seq = 0
-        # Pending scale() handoff: resolved with the worker's migration
-        # state (or None when the channel dies first).
-        self.handoff: asyncio.Future | None = None
-
-    @property
-    def process(self):
-        """The underlying OS process of a subprocess-backed worker.
-
-        Kept for the tests (and callers) that reach through the handle
-        to kill the process directly; TCP-backed workers have none.
-        """
-        return getattr(self.link, "process", None)
+    link: WorkerLink
+    reader: asyncio.Task | None = None
+    acked_seq: int = 0
+    applied: asyncio.Event = field(default_factory=asyncio.Event)
+    beats_seen: int = 0
+    started: asyncio.Event = field(default_factory=asyncio.Event)
+    #: Highest WAL seq already sent (restore replay included): _deliver
+    #: skips entries at or below it, so a tail replay is never re-sent.
+    sent_seq: int = 0
+    #: Pending scale() handoff: resolved with the worker's migration
+    #: state (or None when the channel dies first).
+    handoff: asyncio.Future | None = None
 
 
 class ClusterSupervisor(_CoreDriver):
     """A :class:`~repro.serve.core.ClusterCore` driven over worker processes.
 
     Each shard is a supervised worker behind a transport; the core's
-    steps reach it as control frames.  Configure through
-    ``config=ServeConfig(...)`` — the relevant fields are ``procs``
-    (worker count; falls back to ``shards``), ``salt``,
-    ``timer_ratio``, ``state_dir`` (required), ``heartbeat_interval``,
-    ``miss_threshold``, ``retry_budget``, ``checkpoint_every``,
-    ``seed``, ``codec`` (a named codec is also the WALs' framing, so
-    failover replay consumes the wire encoding; ``"auto"`` stores JSONL),
-    ``transport``/``workers`` (remote TCP shard endpoints instead of
-    local subprocess workers), and ``rebalance_grace`` (``None`` parks
-    a shard past its retry budget until :meth:`revive`; a float
-    automatically re-homes its rules onto the surviving shards).
-
-    ``state_dir`` holds per-shard WAL and checkpoint files (created if
-    missing); a supervisor restarted over the same directory recovers
-    parked and unreplayed events.  ``fault_plan`` (deterministic fault
-    injection for tests and chaos CI) and ``on_detection`` (the
-    streaming callback of ``repro serve --procs --stdin``) are runtime
-    collaborators, not configuration — they stay regular parameters.
+    steps reach it as control frames.  ``config=ServeConfig(...)``
+    supplies ``procs`` (else ``shards``), ``state_dir`` (required: WAL
+    and checkpoint files a restarted supervisor recovers from), the
+    routing, heartbeat, retry, checkpoint, codec (a named one is also
+    the WALs' framing) and transport fields, and ``rebalance_grace``
+    (``None`` parks a shard past its retry budget until :meth:`revive`;
+    a float re-homes its rules onto the survivors).  ``fault_plan`` and
+    ``on_detection`` are runtime collaborators, not configuration.
     """
 
     def __init__(
@@ -492,19 +514,11 @@ class ClusterSupervisor(_CoreDriver):
             install_fault_filter(self.transport, net_fault_plan)
         self._workers: dict[int, _Worker] = {}
         self._locks: dict[int, asyncio.Lock] = defaultdict(asyncio.Lock)
-        self._unavailable: dict[int, str] = {}
+        self._shards: dict[int, _Shard] = defaultdict(_Shard)
+        self._phase = ClusterPhase.RUNNING
+        self._phase_changed = asyncio.Event()  # set, then replaced, per move
         self._detections: dict[str, list[dict[str, Any]]] = {}
         self._monitor_task: asyncio.Task | None = None
-        self._stopping = False
-        # scale() must not interleave with ingest: the flag blocks new
-        # batches synchronously, the event wakes them when done.
-        self._scaling = False
-        self._scale_done = asyncio.Event()
-        self._scale_done.set()
-        # Shards past their retry budget awaiting automatic re-homing
-        # (only populated when rebalance_grace is not None).
-        self._rehome_pending: set[int] = set()
-        self._rehome_at = 0.0
         self.resumes = 0
         self.parked = 0
         self.frames_dropped = 0
@@ -534,9 +548,80 @@ class ClusterSupervisor(_CoreDriver):
 
     # --- lifecycle -------------------------------------------------------
 
+    def _enter(
+        self, index: int, state: ShardState, *,
+        by: _Worker | None = None, reason: str = "",
+    ) -> None:
+        """The one writer of shard state; a move asked ``by`` a stale
+        incarnation (an old reader's late EOF) is ignored.  LIVE arms the
+        heartbeat window; PARKED (no worker left) stops watching the
+        shard, counts it and schedules a ``rebalance_grace`` re-home."""
+        shard = self._shards[index]
+        stale = by is not None and by is not self._workers.get(index)
+        if stale or state is shard.state:
+            return
+        _check_move(_TRANSITIONS, shard.state, state, f"shard {index}")
+        if state is ShardState.PARKED and index in self._workers:
+            raise ReproError(f"shard {index} cannot park with a worker")
+        shard.state, shard.reason, shard.rehome_at = state, reason, None
+        if state is ShardState.LIVE:
+            self.monitor.mark(index)
+        elif state is ShardState.PARKED:
+            self.monitor.forget(index)
+            if self.obs.enabled:
+                self.obs.counter("serve.failover.unavailable").inc()
+            grace = self.config.rebalance_grace
+            if grace is not None and self.core.router.shards > 1:
+                shard.rehome_at = time.monotonic() + grace
+
+    def _enter_phase(self, phase: ClusterPhase) -> None:
+        """The one writer of the cluster phase; wakes :meth:`_unblocked`."""
+        if phase is not self._phase:
+            _check_move(_PHASE_TRANSITIONS, self._phase, phase, "the cluster")
+            self._phase = phase
+            self._phase_changed.set()
+            self._phase_changed = asyncio.Event()
+
+    async def _unblocked(self) -> None:
+        """Wait out a :meth:`scale` in progress."""
+        while self._phase is ClusterPhase.SCALING:
+            await self._phase_changed.wait()
+
+    def _live(self, index: int) -> _Worker | None:
+        """The shard's worker while the shard is LIVE."""
+        if self._shards[index].state is ShardState.LIVE:
+            return self._workers.get(index)
+        return None
+
+    def _kill(self, index: int, worker: _Worker, reason: str) -> None:
+        """Tear ``worker`` down now; the shard goes DOWN if it still is
+        the shard's, and the next dispatch or monitor tick respawns it."""
+        worker.link.kill()
+        self._enter(index, ShardState.DOWN, by=worker, reason=reason)
+
+    async def _reap(self, index: int) -> None:
+        """Take the shard DOWN and release its worker, if it has one."""
+        self._enter(index, ShardState.DOWN)
+        worker = self._workers.pop(index, None)
+        if worker is None:
+            return
+        worker.link.kill()
+        await worker.link.wait(timeout=5)
+        if worker.reader is not None:
+            worker.reader.cancel()
+            try:
+                await worker.reader
+            except (asyncio.CancelledError, Exception):  # noqa: BLE001
+                pass
+
+    async def _give_up(self, index: int, reason: str) -> None:
+        """Every park: reap the worker, then enter PARKED (lock held)."""
+        await self._reap(index)
+        self._enter(index, ShardState.PARKED, reason=reason)
+
     async def start(self) -> None:
         """Spawn every worker (recovering any durable WAL/checkpoints)."""
-        self._stopping = False
+        self._enter_phase(ClusterPhase.RUNNING)  # a stopped one raises
         for index in range(self.core.router.shards):
             await self._recover(index, count_restart=False)
         self._monitor_task = asyncio.get_running_loop().create_task(
@@ -559,8 +644,7 @@ class ClusterSupervisor(_CoreDriver):
         healthy).  Events for an unavailable shard are parked in its
         WAL; healthy shards are never blocked by a sick one.
         """
-        while self._scaling:
-            await self._scale_done.wait()
+        await self._unblocked()
         signals: list[ShardUnavailable] = []
         # log_event appends the whole fan-out before the first await, so
         # a concurrent scale() never sees the event half-routed.
@@ -582,15 +666,14 @@ class ClusterSupervisor(_CoreDriver):
         # either the in-flight recovery's tail covers it (sent_seq then
         # says skip) or we send it now, strictly after the replay.
         if index >= self.core.router.shards:
-            # The cluster scaled in under this batch's feet; the entry
-            # was appended pre-scale and migrated with the old shard's
-            # state, so there is nothing left to deliver.
+            # The cluster scaled in under this batch's feet: the entry
+            # migrated with the old shard's state, nothing is left to do.
             return None
         async with self._locks[index]:
-            if index in self._unavailable:
+            if self._shards[index].state is ShardState.PARKED:
                 return self._park(index)
-            worker = self._workers.get(index)
-            if worker is None or worker.dead:
+            worker = self._live(index)
+            if worker is None:
                 # Recovery replays the WAL tail, which includes this entry.
                 if not await self._recover_locked(index):
                     return self._park(index)
@@ -601,20 +684,17 @@ class ClusterSupervisor(_CoreDriver):
                     if self.core.checkpoint_due(entry.seq):
                         await self._send(worker, {"op": "checkpoint"})
                 except (OSError, ConnectionError, BrokenPipeError):
-                    worker.dead = True
+                    self._kill(index, worker, "send failed")
                     if not await self._recover_locked(index):
                         return self._park(index)
             if self.core.faults.should_kill(index, entry.seq):
-                live = self._workers.get(index)
-                if live is not None and not live.dead:
-                    live.link.kill()
-                    live.dead = True
+                worker = self._live(index)
+                if worker is not None:
+                    self._kill(index, worker, "fault plan")
             return None
 
     def _down(self, index: int) -> ShardUnavailable:
-        return ShardUnavailable(
-            index, self._unavailable.get(index, "down"), self.parked
-        )
+        return ShardUnavailable(index, self._shards[index].reason, self.parked)
 
     def _park(self, index: int) -> ShardUnavailable:
         """The entry stays in the shard's WAL until a revive replays it."""
@@ -634,11 +714,9 @@ class ClusterSupervisor(_CoreDriver):
         while True:
             frame = await link.read()
             if link.frames_dropped != dropped:
-                # The link discarded oversized/undecodable frames.  Stay
-                # connected, but surface the loss: a dropped detection
-                # or checkpoint_state frame is otherwise invisible (and
-                # a shard whose checkpoints never land grows its WAL
-                # without bound).
+                # The link discarded oversized/undecodable frames: stay
+                # connected but count them, or a lost detection or
+                # checkpoint (an unbounded WAL) would be invisible.
                 delta = link.frames_dropped - dropped
                 dropped = link.frames_dropped
                 self.frames_dropped += delta
@@ -650,7 +728,7 @@ class ClusterSupervisor(_CoreDriver):
                 break
             worker.started.set()  # any frame proves the worker is up
             self._handle_frame(index, worker, frame)
-        worker.dead = True
+        self._enter(index, ShardState.DOWN, by=worker, reason="exited")
         worker.started.set()
         worker.applied.set()  # wake any drain barrier so it re-checks
         if worker.handoff is not None and not worker.handoff.done():
@@ -679,9 +757,7 @@ class ClusterSupervisor(_CoreDriver):
             seq, k = int(frame["seq"]), int(frame["k"])
             if self.core.ledger.offer(index, seq, k):
                 if self.obs.enabled:
-                    self.obs.counter(
-                        "serve.detections", shard=index
-                    ).inc()
+                    self.obs.counter("serve.detections", shard=index).inc()
                 self._deliver_row(frame["row"])
         elif op == "checkpoint_state":
             self.core.save_checkpoint(index, frame["state"])
@@ -701,39 +777,26 @@ class ClusterSupervisor(_CoreDriver):
     # --- failure detection and recovery ----------------------------------
 
     async def _monitor_loop(self) -> None:
-        while not self._stopping:
+        while self._phase is not ClusterPhase.STOPPING:
             await asyncio.sleep(self.monitor.interval)
-            if self._scaling:
-                continue
             for index in range(self.core.router.shards):
-                if self._stopping or self._scaling:
+                if self._phase is not ClusterPhase.RUNNING:
                     break
-                if index in self._unavailable:
-                    continue
-                worker = self._workers.get(index)
-                if worker is None:
-                    continue
-                if not worker.dead and self.monitor.suspect(index):
+                worker = self._live(index)
+                if worker is not None and self.monitor.suspect(index):
                     if self.obs.enabled:
                         self.obs.counter("serve.failover.beats_missed").inc(
                             self.monitor.missed(index)
                         )
-                    worker.link.kill()
-                    worker.dead = True
-                if worker.dead:
+                    self._kill(index, worker, "heartbeat")
+                if self._shards[index].state is ShardState.DOWN:
                     await self._recover(index)
             await self._maybe_rehome()
 
     async def _recover(self, index: int, count_restart: bool = True) -> bool:
-        """Respawn a shard and send it the core's recovery plan.
-
-        Bounded by ``retry_budget`` attempts with exponential backoff +
-        jitter; returns False (and marks the shard unavailable) when the
-        budget is exhausted.  Serialized per shard — against other
-        recoveries *and* against :meth:`_deliver` — so the monitor loop
-        cannot race a double respawn and a concurrent ingest cannot
-        interleave event frames into the restore/replay stream.
-        """
+        """Respawn a shard and send it the core's recovery plan, under
+        its lock (no second recovery and no dispatch interleaves); after
+        ``retry_budget`` retries with backoff it parks (returns False)."""
         async with self._locks[index]:
             return await self._recover_locked(index, count_restart)
 
@@ -741,9 +804,11 @@ class ClusterSupervisor(_CoreDriver):
         self, index: int, count_restart: bool = True
     ) -> bool:
         """The body of :meth:`_recover`; the per-shard lock is held."""
-        existing = self._workers.get(index)
-        if existing is not None and not existing.dead:
+        shard = self._shards[index]
+        if shard.state is ShardState.LIVE:
             return True  # someone else already recovered it
+        if shard.state is ShardState.PARKED:
+            return False  # only revive() or a re-home brings it back
         started = time.perf_counter_ns()
         failure = "unknown"
         for attempt in range(self.config.retry_budget + 1):
@@ -751,9 +816,9 @@ class ClusterSupervisor(_CoreDriver):
                 await self._reap(index)
                 worker = await self._spawn(index)
                 self._workers[index] = worker
-                # Wait for the startup beat before arming the
-                # liveness/dispatch clocks: interpreter startup must
-                # never be mistaken for a dispatch stall.
+                self._enter(index, ShardState.STARTING)
+                # The startup beat comes before the liveness/dispatch
+                # clocks: startup is never mistaken for a stall.
                 try:
                     await asyncio.wait_for(
                         worker.started.wait(), timeout=_STARTUP_TIMEOUT
@@ -763,7 +828,7 @@ class ClusterSupervisor(_CoreDriver):
                         f"shard {index} worker emitted no frame within "
                         f"{_STARTUP_TIMEOUT}s of spawn"
                     ) from None
-                if worker.dead:
+                if shard.state is not ShardState.STARTING:
                     raise ReproError(
                         f"shard {index} worker exited during startup"
                     )
@@ -772,38 +837,23 @@ class ClusterSupervisor(_CoreDriver):
                     await self._send(worker, register_frame(*rule))
                 after = 0
                 if state is not None:
-                    await self._send(
-                        worker, {"op": "restore", "state": state}
-                    )
+                    await self._send(worker, {"op": "restore", "state": state})
                     after = int(state["seq"])
                 for entry in tail:
                     await self._send(worker, entry.frame())
                 worker.sent_seq = tail[-1].seq if tail else after
-                self._unavailable.pop(index, None)
-                self.monitor.mark(index)
+                self._enter(index, ShardState.LIVE)
                 if count_restart:
                     self.core.replayed += len(tail)
                     self.core.note_restart(len(tail))
                     if self.obs.enabled:
-                        self.obs.histogram(
-                            "serve.failover.restart_ns"
-                        ).observe(time.perf_counter_ns() - started)
+                        elapsed = time.perf_counter_ns() - started
+                        self.obs.histogram("serve.failover.restart_ns").observe(elapsed)
                 return True
             except (ReproError, OSError, ConnectionError) as error:
                 failure = str(error)
                 await asyncio.sleep(self.backoff.delay(attempt))
-        self._unavailable[index] = failure
-        self.monitor.forget(index)
-        if self.obs.enabled:
-            self.obs.counter("serve.failover.unavailable").inc()
-        # With a rebalance grace configured, a shard past its retry
-        # budget is not parked indefinitely: its rules are re-homed onto
-        # the survivors once the grace elapses (see _maybe_rehome; the
-        # scale itself cannot run here — this shard's lock is held).
-        grace = self.config.rebalance_grace
-        if grace is not None and self.core.router.shards > 1:
-            self._rehome_pending.add(index)
-            self._rehome_at = time.monotonic() + grace
+        await self._give_up(index, failure)
         return False
 
     async def _spawn(self, index: int) -> _Worker:
@@ -832,24 +882,12 @@ class ClusterSupervisor(_CoreDriver):
         )
         return worker
 
-    async def _reap(self, index: int) -> None:
-        worker = self._workers.pop(index, None)
-        if worker is None:
-            return
-        worker.link.kill()
-        await worker.link.wait(timeout=5)
-        if worker.reader is not None:
-            worker.reader.cancel()
-            try:
-                await worker.reader
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-
     async def revive(self, index: int) -> bool:
-        """Bring an unavailable shard back and replay its parked tail."""
-        self._unavailable.pop(index, None)
-        self._rehome_pending.discard(index)
-        return await self._recover(index)
+        """Bring a parked shard back: respawn it and replay its parked tail."""
+        async with self._locks[index]:
+            if self._shards[index].state is ShardState.PARKED:
+                self._enter(index, ShardState.DOWN)
+            return await self._recover_locked(index)
 
     # --- live re-balancing -----------------------------------------------
 
@@ -863,10 +901,13 @@ class ClusterSupervisor(_CoreDriver):
             self._deliver_row(detection_to_json(index, tagged.detection))
         return replica
 
-    async def _acked(self, worker: _Worker, seq: int, timeout: float) -> bool:
-        """Whether ``worker`` acks ``seq``; gives up once it dies or
-        stays silent for ``timeout`` (every ack restarts the clock)."""
-        while worker.acked_seq < seq and not worker.dead:
+    async def _acked(
+        self, index: int, worker: _Worker, seq: int, timeout: float
+    ) -> bool:
+        """Whether ``worker`` acks ``seq``; gives up once it is no longer
+        the shard's LIVE incarnation or stays silent for ``timeout``
+        (every ack restarts the clock)."""
+        while worker.acked_seq < seq and self._live(index) is worker:
             worker.applied.clear()
             try:
                 await asyncio.wait_for(worker.applied.wait(), timeout=timeout)
@@ -877,39 +918,31 @@ class ClusterSupervisor(_CoreDriver):
     async def _collect_handoff(
         self, index: int, entry: WalEntry | None
     ) -> dict[str, Any] | None:
-        """One worker's migration state, or None if it must be rebuilt.
-
-        Sends the boundary advance (when one was logged), awaits its
-        ack so the snapshot sits exactly at the granule boundary, then
-        requests a checkpoint handoff and awaits the state frame.  Any
-        failure — dead worker, parked shard, ack or handoff timeout —
-        returns None and the caller falls back to :meth:`_rebuild`.
-        """
-        worker = self._workers.get(index)
-        if index in self._unavailable or worker is None or worker.dead:
+        """One LIVE worker's migration state, the snapshot exactly at the
+        boundary (its advance is sent and acked first).  None (dead,
+        parked, a timeout) makes the caller fall back to :meth:`_rebuild`."""
+        worker = self._live(index)
+        if worker is None:
             return None
-        timeout = max(
-            5.0, self.monitor.interval * self.monitor.miss_threshold
-        )
+        timeout = max(5.0, self.monitor.interval * self.monitor.miss_threshold)
         try:
             if entry is not None and entry.seq > worker.sent_seq:
                 await self._send(worker, entry.frame())
                 worker.sent_seq = entry.seq
-            if not await self._acked(worker, worker.sent_seq, timeout):
+            if not await self._acked(index, worker, worker.sent_seq, timeout):
                 return None
             worker.handoff = asyncio.get_running_loop().create_future()
             await self._send(worker, {"op": "handoff"})
             if self.core.faults.take_scale_kill(index):
                 # Chaos injection: the worker dies with the checkpoint
                 # handoff in flight — the reply may or may not make it.
-                worker.link.kill()
-                worker.dead = True
+                self._kill(index, worker, "fault plan")
             try:
                 return await asyncio.wait_for(worker.handoff, timeout=timeout)
             except asyncio.TimeoutError:
                 return None
         except (OSError, ConnectionError):
-            worker.dead = True
+            self._kill(index, worker, "send failed")
             return None
         finally:
             worker.handoff = None
@@ -917,25 +950,18 @@ class ClusterSupervisor(_CoreDriver):
     async def scale(self, shards: int) -> ScaleReport:
         """Re-balance the live cluster onto ``shards`` workers.
 
-        :meth:`~repro.serve.core.ClusterCore.migrate` with the sources
-        gathered over the wire: live workers hand their state off via
-        checkpoint frames at the boundary, and one that dies mid-handoff
-        (or was already parked) is rebuilt in-process.  The old workers
-        are reaped before their files are discarded and the new set is
-        spawned from the freshly saved snapshots.  Ingest is blocked for
-        the duration; no event's fan-out straddles two shard maps.
+        :meth:`~repro.serve.core.ClusterCore.migrate` with sources handed
+        off over the wire (rebuilt in-process for a shard that is parked
+        or dies mid-handoff); old workers are reaped, the new set spawns
+        from the saved snapshots.  The SCALING phase blocks ingest, so no
+        event's fan-out straddles two shard maps.
         """
-        if self._stopping:
-            raise ReproError("cannot scale a stopping cluster")
-        while self._scaling:
-            await self._scale_done.wait()
-        self._scaling = True
-        self._scale_done.clear()
+        await self._unblocked()
+        self._enter_phase(ClusterPhase.SCALING)  # raises once stopping
         try:
             return await self._scale_now(shards)
         finally:
-            self._scaling = False
-            self._scale_done.set()
+            self._enter_phase(ClusterPhase.RUNNING)
 
     async def _scale_now(self, shards: int) -> ScaleReport:
         old_shards = self.core.router.shards
@@ -948,9 +974,7 @@ class ClusterSupervisor(_CoreDriver):
                 await stack.enter_async_context(self._locks[index])
             boundary = dict(self.core.begin_scale(shards))
             for index in range(old_shards):
-                state = await self._collect_handoff(
-                    index, boundary.get(index)
-                )
+                state = await self._collect_handoff(index, boundary.get(index))
                 if state is not None:
                     replica = self.core.replica(index)
                     replica.restore(state)
@@ -959,41 +983,31 @@ class ClusterSupervisor(_CoreDriver):
                     replica = self._rebuild(index)
                 sources[index] = replica.detector
             for index in range(old_shards):
-                await self._reap(index)
+                await self._reap(index)  # a parked shard goes DOWN too
                 self.monitor.forget(index)
             report, _ = self.core.migrate(shards, sources)
-            self._unavailable.clear()
-            self._rehome_pending.clear()
-        # Locks released (new ingest is still blocked by the _scaling
-        # flag); spawn the new worker set through the normal recovery
-        # path — it restores the freshly saved snapshot and replays an
-        # empty tail.
+        # Locks released, ingest still blocked: the new set spawns
+        # through recovery, from the snapshot with an empty tail.
         for index in range(shards):
             await self._recover(index, count_restart=False)
         if handoff_fallbacks:
-            self.obs.counter(
-                "serve.rebalance.handoff_fallbacks"
-            ).inc(handoff_fallbacks)
+            name = "serve.rebalance.handoff_fallbacks"
+            self.obs.counter(name).inc(handoff_fallbacks)
         return replace(report, handoff_fallbacks=handoff_fallbacks)
 
     async def _maybe_rehome(self) -> None:
-        """Re-home the rules of shards past their retry budget.
-
-        Runs outside every per-shard lock (exhaustion is noted inside
-        :meth:`_recover_locked`, which holds one).  A no-op until the
-        configured ``rebalance_grace`` has elapsed — the window in
-        which an operator ``revive`` can still cancel the migration.
-        """
-        if (
-            not self._rehome_pending
-            or self._scaling
-            or self._stopping
-            or time.monotonic() < self._rehome_at
-        ):
+        """Re-home parked shards' rules once the last one's
+        ``rebalance_grace`` (the window for a ``revive``) has elapsed.
+        Outside every shard lock; :meth:`scale` enters SCALING before
+        its first await, so two callers never re-home twice."""
+        due = [
+            s.rehome_at for s in self._shards.values() if s.rehome_at is not None
+        ]
+        if not due or self._phase is not ClusterPhase.RUNNING:
             return
-        dead = sorted(self._rehome_pending)
-        self._rehome_pending.clear()
-        survivors = max(1, self.core.router.shards - len(dead))
+        if time.monotonic() < max(due):
+            return
+        survivors = max(1, self.core.router.shards - len(due))
         self.rehomes += 1
         if self.obs.enabled:
             self.obs.counter("serve.rebalance.rehomes").inc()
@@ -1002,7 +1016,11 @@ class ClusterSupervisor(_CoreDriver):
     def status(self) -> ClusterStatus:
         return self.core.status(
             transport=self.transport.name,
-            unavailable=dict(self._unavailable),
+            unavailable={
+                index: shard.reason
+                for index, shard in sorted(self._shards.items())
+                if shard.state is ShardState.PARKED
+            },
             parked=self.parked,
         )
 
@@ -1011,30 +1029,22 @@ class ClusterSupervisor(_CoreDriver):
     async def drain(self, horizon: int | None = None) -> list[ShardUnavailable]:
         """Barrier: every available shard has applied its whole WAL.
 
-        With ``horizon`` each shard's engine clock first advances to
-        that granule (logged as a WAL entry so failover replays it too;
-        an unavailable shard's advance parks in its WAL like its events
-        do).  A shard that dies mid-drain is recovered and re-awaited;
-        one past its retry budget is skipped and reported, never
-        blocking the rest.
+        With ``horizon`` each shard's clock first advances to that
+        granule (a WAL entry, so failover replays it; a parked shard's
+        waits in its WAL).  A shard that dies mid-drain is recovered and
+        re-awaited; a parked one is reported, never blocking the rest.
         """
-        while self._scaling:
-            await self._scale_done.wait()
+        await self._unblocked()
         await self._maybe_rehome()
         signals: list[ShardUnavailable] = []
         advances = (
             dict(self.core.log_advance(horizon)) if horizon is not None else {}
         )
         for index in range(self.core.router.shards):
-            if index in self._unavailable:
-                signals.append(self._down(index))
-                continue
-            if index in advances:
-                signal = await self._deliver(index, advances[index])
-                if signal is not None:
-                    signals.append(signal)
-                    continue
-            if not await self._await_applied(
+            parked = self._shards[index].state is ShardState.PARKED
+            if not parked and index in advances:
+                parked = await self._deliver(index, advances[index]) is not None
+            if parked or not await self._await_applied(
                 index, self.core.wals[index].last_seq
             ):
                 signals.append(self._down(index))
@@ -1042,36 +1052,32 @@ class ClusterSupervisor(_CoreDriver):
 
     async def _await_applied(self, index: int, seq: int) -> bool:
         """Wait until the shard's worker acked ``seq`` (dispatch timeout
-        -> kill, recover, retry with backoff, bounded by the budget)."""
+        -> kill, recover, retry with backoff; past the budget the shard
+        parks like one whose respawns failed)."""
         timeout = self.monitor.interval * self.monitor.miss_threshold
         for attempt in range(self.config.retry_budget + 1):
-            worker = self._workers.get(index)
-            if worker is None or worker.dead:
-                if not await self._recover(index):
-                    return False
-                continue
-            if await self._acked(worker, seq, timeout):
-                return True
-            # Timed out or died: treat as a dispatch failure.
-            if not worker.dead:
-                worker.link.kill()
-                worker.dead = True
-            await asyncio.sleep(self.backoff.delay(attempt))
+            worker = self._live(index)
+            if worker is not None:
+                if await self._acked(index, worker, seq, timeout):
+                    return True
+                # Timed out or died: treat as a dispatch failure.
+                self._kill(index, worker, "dispatch timeout")
+                await asyncio.sleep(self.backoff.delay(attempt))
             if not await self._recover(index):
                 return False
-        self._unavailable.setdefault(index, "dispatch timeout")
+        async with self._locks[index]:
+            await self._give_up(index, "dispatch timeout")
         return False
 
     async def stop(self) -> None:
         """Graceful shutdown: final checkpoints, stop frames, reap all.
 
-        The reader tasks are *awaited to EOF* (not cancelled) for
-        gracefully stopped workers, so the final ``checkpoint_state``
-        frame is always collected — which is what lets a restarted
-        supervisor resume from the durable state with an empty replay
-        tail instead of re-deriving (and re-deduplicating) detections.
+        Readers are *awaited to EOF*, not cancelled, so each final
+        ``checkpoint_state`` lands and a restarted supervisor resumes
+        with an empty replay tail instead of re-deriving detections.
         """
-        self._stopping = True
+        await self._unblocked()
+        self._enter_phase(ClusterPhase.STOPPING)
         if self._monitor_task is not None:
             self._monitor_task.cancel()
             try:
@@ -1079,8 +1085,8 @@ class ClusterSupervisor(_CoreDriver):
             except asyncio.CancelledError:
                 pass
             self._monitor_task = None
-        for worker in self._workers.values():
-            if worker.dead:
+        for index, worker in self._workers.items():
+            if self._shards[index].state is ShardState.DOWN:
                 continue
             try:
                 await self._send(worker, {"op": "checkpoint"})
@@ -1088,15 +1094,14 @@ class ClusterSupervisor(_CoreDriver):
                 worker.link.close_input()
             except (OSError, ConnectionError):
                 pass
-        for worker in self._workers.values():
+        for index, worker in self._workers.items():
             if worker.reader is not None:
                 try:
-                    # The reader exits on channel EOF once the worker is
-                    # gone, after consuming every buffered frame.
                     await asyncio.wait_for(worker.reader, timeout=10)
                 except asyncio.TimeoutError:  # pragma: no cover - defensive
                     worker.reader.cancel()
             await worker.link.wait(timeout=10)
+            self._enter(index, ShardState.DOWN, reason="stopped")
         self._workers.clear()
         self.core.close()
 
@@ -1194,12 +1199,7 @@ async def cluster_serve_stdin(
             write_error(error)
         for event in events:
             for signal in await supervisor.ingest(event):
-                write_error(
-                    "shard unavailable",
-                    shard=signal.shard,
-                    reason=signal.reason,
-                    parked=signal.parked,
-                )
+                write_error("shard unavailable", **asdict(signal))
         count += len(events)
 
     await supervisor.start()

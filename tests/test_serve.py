@@ -119,6 +119,21 @@ class TestEventRouter:
         router.assign("a")
         assert router.rules_of(0) == ["a", "b"]
 
+    @pytest.mark.parametrize("name", ["a", "r"])
+    def test_a_bare_primitive_rule_routes_under_any_name(self, name):
+        """A rule that is its own leaf (``a`` named ``a``) has no edge in
+        the graph; it still subscribes, so both drivers serve it alike."""
+        from repro.serve import replay_with_failover
+
+        events = [ServeEvent("a", "s1", i, 10 * i) for i in range(5)]
+        runtime = serve_events({name: "a"}, events, config=ServeConfig(shards=1))
+        cluster = replay_with_failover({name: "a"}, events)
+        assert runtime.events_unrouted == 0
+        assert len(runtime.detections_of(name)) == 5
+        assert multiset(runtime.detections_of(name)) == multiset(
+            cluster.detections_of(name)
+        )
+
 
 class TestProtocol:
     def test_line_round_trip(self):

@@ -783,10 +783,8 @@ class TestClusterSupervisor:
             async with supervisor:
                 for position, event in enumerate(batch):
                     if kill_midway and position == len(batch) // 2:
-                        for worker in supervisor._workers.values():
-                            if not worker.dead:
-                                worker.process.kill()
-                                worker.dead = True
+                        for index, worker in list(supervisor._workers.items()):
+                            supervisor._kill(index, worker, "test kill")
                     assert await supervisor.ingest(event) == []
                 assert await supervisor.drain(horizon) == []
             return supervisor

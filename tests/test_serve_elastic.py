@@ -363,9 +363,7 @@ class TestSupervisorElastic:
             async with supervisor:
                 for count, event in enumerate(events):
                     if count == 24:
-                        worker = supervisor._workers[1]
-                        worker.link.kill()
-                        worker.dead = True
+                        supervisor._kill(1, supervisor._workers[1], "test kill")
                         report = await supervisor.scale(3)
                         assert report.handoff_fallbacks == 1
                         assert report.to_dict()["handoff_fallbacks"] == 1
